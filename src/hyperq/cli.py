@@ -365,8 +365,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose values are literals that may begin with '-'
+LITERAL_OPTIONS = ("--t", "--element", "--f", "--g")
+
+
+def _attach_literals(argv: list[str]) -> list[str]:
+    """Rewrite ``--element -1*[a1]`` as ``--element=-1*[a1]``: argparse
+    reads a separate value that starts with '-' as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in LITERAL_OPTIONS and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_literals(argv))
     try:
         return args.func(args)
     except SchemaError as exc:

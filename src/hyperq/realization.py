@@ -17,8 +17,13 @@ Structure constants are pair counts
 
     <a | g, g'> = #{ t | (x, t) in g and (t, y) in g' }    (x, y) in a
 
-independent of the representative.  Left and right weights of an arrow
-are its column and row counts:
+independent of the representative: the intersection numbers of the
+coherent configuration formed by the pair orbits (D. G. Higman,
+*Coherent configurations*, 1975).  They are read off as one integer
+histogram: scanning t along the row of x and the column of y of the
+orbit-label matrix yields every pair (g, g') whose composite meets a,
+with its count, for all arrows a at once.  Left and right weights of an
+arrow are its column and row counts:
 
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
@@ -30,11 +35,12 @@ vectors as a weighted hypergroupoid ready for the convolution algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
-from .algebra import WeightedHypergroupoid
-from .errors import OrderBoundExceeded
+from .algebra import WeightedHypergroupoid, derived_weights
+from .errors import HyperqError, OrderBoundExceeded
 from .hypergroupoid import Hypergroupoid
 
 Perm = tuple[int, ...]
@@ -314,7 +320,7 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     star = tuple(int(membership[y, x]) for (x, y) in reps)
     unit_arrow = tuple(int(membership[pts[0], pts[0]]) for pts in unit_points)
 
-    products = _pair_products(membership, reps, src, tgt, n_arrows)
+    products = _pair_products(membership, reps, src, n_arrows)
     comp = {key: frozenset(c for c, _ in val) for key, val in products.items()}
 
     H = Hypergroupoid(
@@ -338,54 +344,34 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     )
 
 
-def _pair_products(membership, reps, src, tgt, n_arrows):
-    """Composite counts for every composable pair, batched per middle unit.
+def _pair_products(membership, reps, src, n_arrows):
+    """Intersection numbers of the pair orbits, as one histogram.
 
-    Incidence matrices are multiplied in float64 (counts stay far below
-    2**53, so the arithmetic is exact) and the product is read off at the
-    stored representatives of the candidate orbits."""
-    n = membership.shape[0]
-    units = sorted(set(src) | set(tgt))
-    by_src: dict[int, list[int]] = {u: [] for u in units}
-    by_tgt: dict[int, list[int]] = {u: [] for u in units}
-    for g in range(n_arrows):
-        by_src[src[g]].append(g)
-        by_tgt[tgt[g]].append(g)
-    # candidate composites and their representatives, per hom-set
-    cand: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for g in range(n_arrows):
-        key = (tgt[g], src[g])
-        if key not in cand:
-            ids = [c for c in range(n_arrows) if tgt[c] == key[0] and src[c] == key[1]]
-            rx = np.array([reps[c][0] for c in ids], dtype=np.intp)
-            ry = np.array([reps[c][1] for c in ids], dtype=np.intp)
-            cand[key] = (np.array(ids), rx, ry)
-
-    mats = {}
-    for m in units:
-        arrows_in = by_tgt[m]
-        if not arrows_in:
-            continue
-        big = np.empty((n, n * len(arrows_in)), dtype=np.float64)
-        for k, a in enumerate(arrows_in):
-            big[:, k * n:(k + 1) * n] = (membership == a)
-        mats[m] = (arrows_in, big)
-
-    products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for m in units:
-        if m not in mats:
-            continue
-        arrows_in, big = mats[m]
-        for b in by_src[m]:
-            mb = (membership == b).astype(np.float64)
-            prod = mb @ big
-            for k, a in enumerate(arrows_in):
-                ids, rx, ry = cand[(tgt[b], src[a])]
-                vals = prod[rx, k * n + ry]
-                nz = vals > 0
-                products[(b, a)] = tuple(
-                    (int(c), int(v)) for c, v in zip(ids[nz], vals[nz]))
-    return products
+    For an arrow c with representative (x, y), the middle points t give
+    the pairs (membership[x, t], membership[t, y]) = (b, a), and the
+    number of t giving (b, a) is <c | b, a>, the intersection number
+    p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
+    configurations*, 1975).  All arrows are counted at once by one
+    ``np.unique`` over the integer key (rank of b, a, c), where b is
+    ranked by (src[b], b); ``np.ravel_multi_index`` raises rather than
+    wraps, so keys are exact for fewer than 2**21 arrows.  Keys come out
+    sorted, so products lists pairs by src[b], then b, then a, each
+    with its composites in increasing c."""
+    k = n_arrows
+    order = np.argsort(src, kind="stable")
+    rank = np.argsort(order)
+    xs = [x for x, _ in reps]
+    ys = [y for _, y in reps]
+    # row c of each block is the middle-point scan of arrow c
+    keys, counts = np.unique(
+        np.ravel_multi_index(
+            (rank[membership[xs, :]], membership[:, ys].T, np.arange(k)[:, None]),
+            (k, k, k)),
+        return_counts=True)
+    rb, a, c = np.unravel_index(keys, (k, k, k))
+    rows = zip(order[rb].tolist(), a.tolist(), c.tolist(), counts.tolist())
+    return {pair: tuple((ci, v) for _, _, ci, v in group)
+            for pair, group in groupby(rows, key=lambda r: r[:2])}
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +382,8 @@ def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = 
     """<a | g, g'>: pair count through the stored representative of a.
 
     With verify=True the count is repeated at another orbit point, which
-    must agree (the count is a property of the orbit, not the pair)."""
+    must agree (the count is a property of the orbit, not the pair);
+    HyperqError is raised if it does not."""
     x, y = real.representative[a]
     row = real.membership[x, :] == g
     col = real.membership[:, y] == gp
@@ -407,24 +394,16 @@ def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = 
         row2 = real.membership[x2, :] == g
         col2 = real.membership[:, y2] == gp
         other = int(np.count_nonzero(row2 & col2))
-        assert other == value, \
-            f"structure constant depends on representative: {value} vs {other}"
+        if other != value:
+            raise HyperqError(
+                f"structure constant depends on representative: {value} vs {other}")
     return value
 
 
 def weights(real: ConcreteRealization) -> WeightedHypergroupoid:
     """The full structure constant table with left and right weights."""
-    H = real.hypergroupoid
-    mu: dict[tuple[int, int, int], int] = {}
-    for (b, a), pairs in real.products.items():
-        for c, v in pairs:
-            mu[(c, b, a)] = v
-    left = []
-    right = []
-    for g in range(H.n_arrows):
-        e = H.unit_arrow[H.src[g]]
-        ep = H.unit_arrow[H.tgt[g]]
-        left.append(mu[(e, H.star[g], g)])
-        right.append(mu[(ep, g, H.star[g])])
+    mu = {(c, b, a): v
+          for (b, a), pairs in real.products.items() for c, v in pairs}
+    left, right = derived_weights(real.hypergroupoid, mu)
     return WeightedHypergroupoid(
-        base=H, mu=mu, left=tuple(left), right=tuple(right))
+        base=real.hypergroupoid, mu=mu, left=left, right=right)

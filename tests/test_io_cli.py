@@ -304,6 +304,30 @@ def test_evolve_fixed_values(run):
     assert obj["terms"] == [{"id": "a9", "value": "-1.000000000000+0.000000000000j"}]
 
 
+def test_literals_with_a_leading_minus(run):
+    # a separate value starting with '-' is a literal, not an option
+    base = ("evolve", FILES["s3_cosets"], "--format", "json")
+    rc, separate, err = run(*base, "--t", "-1e-3", "--element", "-1*[a1] + 2*[a0]")
+    assert rc == 0, err
+    rc, joined, err = run(*base, "--t=-1e-3", "--element=-1*[a1] + 2*[a0]")
+    assert rc == 0, err
+    assert separate == joined
+    obj = json.loads(separate)
+    assert obj["t"] == -0.001
+    assert obj["element"] == "2*[a0] - 1*[a1]"
+
+    # convolve reads them too, then refuses the negative coefficient
+    for argv in (("--f", "-1*[w]", "--g", "-2*[w]"), ("--f=-1*[w]", "--g=-2*[w]")):
+        rc, _, err = run("convolve", DATA / "inf_abstract.json", *argv)
+        assert rc == 2
+        assert err == "input error: coefficients must be nonnegative integers here\n"
+
+    # a missing value is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", str(FILES["s3_cosets"]), "--t", "1", "--element", "--format"])
+    assert exc.value.code == 2
+
+
 def test_convolve_with_infinite_values(run):
     rc, out, _ = run("convolve", DATA / "inf_abstract.json",
                      "--f", "inf*[w]", "--g", "[w]", "--format", "json")

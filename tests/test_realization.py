@@ -1,16 +1,21 @@
 """Group enumeration, coset actions, pair orbits and exact counting.
 
 The structure constants carry the whole algebra, so they are checked
-three ways here: the per-triple boolean count, the batched product
-table built by matrix arithmetic, and full recounts at every orbit
-point on the fixtures small enough to afford it.
+four ways here: the per-triple boolean count, the product table built
+as an intersection-number histogram, integer incidence-matrix products,
+and full recounts at every orbit point on the fixtures small enough to
+afford it.
 """
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA
 from hyperq.errors import OrderBoundExceeded
 from hyperq.fixtures import (
     s3_generators,
@@ -19,6 +24,7 @@ from hyperq.fixtures import (
     trivial_pair_action,
 )
 from hyperq.hypergroupoid import check_hg_axioms
+from hyperq.io import load_input
 from hyperq.realization import (
     CosetSpec,
     PermAction,
@@ -185,7 +191,7 @@ def test_count_mu_verify_mode(all_realized):
 
 
 def test_product_table_matches_per_triple_counts(all_realized):
-    # the batched matrix products against the boolean recount
+    # the histogram table against the boolean recount
     for real in all_realized.values():
         H = real.hypergroupoid
         for (b, a), pairs in real.products.items():
@@ -193,6 +199,96 @@ def test_product_table_matches_per_triple_counts(all_realized):
             for c, v in pairs:
                 assert v == count_mu(real, c, b, a)
                 assert v >= 1
+
+
+_BROKEN_COSETS = """
+import dataclasses
+from hyperq.errors import HyperqError
+from hyperq.fixtures import s3_coset_action
+from hyperq.realization import count_mu, orbit_atoms
+real = orbit_atoms(s3_coset_action())
+broken = real.membership.copy()
+broken[0, 2] = 0
+real = dataclasses.replace(real, membership=broken)
+assert count_mu(real, 1, 1, 1) == 0
+try:
+    count_mu(real, 1, 1, 1, verify=True)
+except HyperqError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_count_mu_verify_raises_on_a_broken_table(flags):
+    # moving one pair out of the off-diagonal orbit makes the count at
+    # the representative (0, 1) disagree with the count at (1, 0); the
+    # refusal must not depend on assertions being enabled
+    proc = subprocess.run([sys.executable, *flags, "-c", _BROKEN_COSETS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "structure constant depends on representative: 0 vs 1\n"
+
+
+@pytest.fixture(scope="module")
+def oracle_realizations():
+    """The action fixtures in tests/data, and S5 on itself and on 5
+    points (125 points, 132 arrows)."""
+    out = {}
+    for path in sorted(DATA.glob("*.json")):
+        spec, _ = load_input(str(path))
+        if spec.action is not None:
+            out[path.stem] = orbit_atoms(spec.action)
+    assert {"s3_cosets", "s3_mixed", "s3_regular", "trivial2"} <= set(out)
+    s5 = (from_cycles(5, (0, 1)), from_cycles(5, (0, 1, 2, 3, 4)))
+    s4 = (from_cycles(5, (1, 2)), from_cycles(5, (1, 2, 3, 4)))
+    spec = CosetSpec(degree=5, group_generators=s5,
+                     subgroups=(("e", ()), ("s4", s4)))
+    out["s5_regular_points"] = orbit_atoms(coset_union_action(spec))
+    assert out["s5_regular_points"].n_arrows == 132
+    return out
+
+
+def _assert_incidence_identity(real):
+    """M_b M_a == sum_c <c|b,a> M_c in int64, for every pair (b, a).
+
+    The products are formed sparsely, for each b and all a at once: each
+    (x, t) in b meets each (t, y), which lies in a = m[t, y], so the
+    entry (M_b M_a)[x, y] is the number of such meetings at (x, y, a).
+    Every entry of every product is compared, not only those at the
+    stored representatives."""
+    m = real.membership
+    n, k = real.n_points, real.n_arrows
+    orbit_size = np.bincount(m.ravel(), minlength=k)
+    for b in range(k):
+        xs, ts = np.nonzero(m == b)
+        meetings = np.stack(
+            [np.repeat(xs, n), np.tile(np.arange(n), len(xs)), m[ts].ravel()], axis=1)
+        entries, values = np.unique(meetings, axis=0, return_counts=True)
+        # expansion[c, a] = <c|b,a>
+        expansion = np.zeros((k, k), dtype=np.int64)
+        for a in range(k):
+            for c, v in real.products.get((b, a), ()):
+                expansion[c, a] = v
+        x, y, a = entries.T
+        assert np.array_equal(expansion[m[x, y], a], values), f"b = a{b}"
+        # the expansions have no nonzero entry where the products vanish
+        assert len(values) == orbit_size @ np.count_nonzero(expansion, axis=1), f"b = a{b}"
+
+
+def test_products_match_integer_incidence_products(oracle_realizations):
+    for name, real in oracle_realizations.items():
+        _assert_incidence_identity(real)
+        assert all(real.products.values()), name
+
+
+def test_products_key_order(oracle_realizations):
+    for name, real in oracle_realizations.items():
+        src = real.hypergroupoid.src
+        keys = list(real.products)
+        assert keys == sorted(keys, key=lambda p: (src[p[0]], p[0], p[1])), name
+        for pairs in real.products.values():
+            cs = [c for c, _ in pairs]
+            assert cs == sorted(set(cs)), name
 
 
 def test_counts_are_representative_independent(all_realized):
