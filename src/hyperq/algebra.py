@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InfiniteCoefficient, NotSemisimple, ZeroWeight
 from .extnat import INF, ExtNat, check_extnat, is_finite
-from .hypergroupoid import Hypergroupoid, _semisimple_cached, _simple_arrows, is_simple
+from .hypergroupoid import Hypergroupoid, is_simple
 
 Element = dict[int, object]
 
@@ -234,10 +234,13 @@ def eta(W: WeightedHypergroupoid, u: Element):
 class KmsReport:
     checked: int
     failures: tuple = ()
+    # arrows whose chi is undefined (an infinite or zero weight); the
+    # pairs (q, q') with q' among them cannot be evaluated
+    chi_undefined: tuple[int, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.chi_undefined
 
 
 def kms_check(W: WeightedHypergroupoid) -> KmsReport:
@@ -247,9 +250,16 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
     Only identity arrows contribute to eta, so both sides reduce to mu
     lookups: the left side is chi(q')^{-1} <e|q,q'> summed over identity
     arrows e in comp(q, q'), the right side the same with the pair
-    swapped."""
+    swapped.  Pairs whose q' has no chi are skipped and not counted;
+    those arrows are listed in ``chi_undefined``."""
     H = W.base
     units = set(H.unit_arrow)
+    ratio = {}
+    for g in range(H.n_arrows):
+        try:
+            ratio[g] = chi(W, g)
+        except (InfiniteCoefficient, ZeroWeight):
+            pass
 
     def unit_mass(x, y):
         if not H.composable(x, y):
@@ -259,14 +269,15 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
     failures = []
     checked = 0
     for q in range(H.n_arrows):
-        for qp in range(H.n_arrows):
+        for qp, chi_qp in ratio.items():
             checked += 1
-            lhs = unit_mass(q, qp) / chi(W, qp)
+            lhs = unit_mass(q, qp) / chi_qp
             rhs = Fraction(unit_mass(qp, q))
             if lhs != rhs:
                 if len(failures) < _FAILURE_CAP:
                     failures.append((q, qp, lhs, rhs))
-    return KmsReport(checked=checked, failures=tuple(failures))
+    undefined = tuple(g for g in range(H.n_arrows) if g not in ratio)
+    return KmsReport(checked=checked, failures=tuple(failures), chi_undefined=undefined)
 
 
 def convolve_ext(W: WeightedHypergroupoid, f: dict[int, ExtNat], h: dict[int, ExtNat]) -> dict[int, ExtNat]:
@@ -376,10 +387,9 @@ def mu_semisimple(H: Hypergroupoid, a: int, g: int, gp: int) -> ExtNat:
 
     Defined for semi-simple hypergroupoids (NotSemisimple otherwise).
     The supremum over a finite table is a plain int."""
-    ok, _ = _semisimple_cached(H)
-    if not ok:
+    if not H.semisimple_factorization[0]:
         raise NotSemisimple("some arrow has no simple factorization")
-    simples = _simple_arrows(H)
+    simples = H.simple_arrows
     star = H.star
     best = 0
     target = frozenset((a,))
@@ -398,7 +408,7 @@ def left_finite_witness(W: WeightedHypergroupoid, g: int):
     finiteness; asserts |g|_l = |g u| and returns (u, comp(g, u)).
     Returns None when no witness exists among the arrows."""
     H = W.base
-    for u in _simple_arrows(H):
+    for u in H.simple_arrows:
         if not H.composable(g, u):
             continue
         gu = H.compose(g, u)

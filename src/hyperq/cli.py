@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,14 +23,6 @@ from .hypergroupoid import check_hg_axioms, to_quantale
 from .io import InputSpec, format_complex, format_element, load_input, parse_element
 from .quantale import check_axioms, site
 from .realization import orbit_atoms, weights
-
-
-def _threads() -> int:
-    raw = os.environ.get("HYPERQ_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise SchemaError(f"HYPERQ_THREADS must be an integer, got {raw!r}")
 
 
 class Context:
@@ -190,9 +181,7 @@ def _named_rows(names, report) -> list[list[str]]:
 def cmd_check(args) -> int:
     ctx = Context(args.file)
     Q = to_quantale(ctx.base)
-    mode = "exhaustive" if args.exhaustive else "sampled"
-    q_report = check_axioms(Q, mode=mode, samples=args.samples, seed=args.seed,
-                            max_workers=_threads())
+    q_report = check_axioms(Q)
     h_report = check_hg_axioms(ctx.base)
     w_report = validate_weights(ctx.weighted)
     failed = [r.name for r in q_report.failing()]
@@ -201,7 +190,6 @@ def cmd_check(args) -> int:
 
     if args.format == "json":
         payload = {
-            "mode": mode,
             "quantale": [{"name": r.name, "passed": r.passed,
                           "counterexample": None if r.counterexample is None else
                           [sorted(Q.atom_names[i] for i in e) for e in r.counterexample],
@@ -218,9 +206,6 @@ def cmd_check(args) -> int:
         _emit_json(ctx.report("check", payload))
     else:
         lines = ctx.header("check")
-        lines.append(f"mode: {mode}" + (
-            "" if mode == "exhaustive" else f" (samples={args.samples}, seed={args.seed})"))
-        lines.append("")
         lines += _table(["axiom", "status", "counterexample", "note"],
                         _axiom_rows(Q, q_report))
         lines.append("")
@@ -242,25 +227,30 @@ def cmd_kms(args) -> int:
     ctx = Context(args.file)
     report = kms_check(ctx.weighted)
     H = ctx.base
+    undefined = [H.arrow_names[g] for g in report.chi_undefined]
     if args.format == "json":
         payload = {"checked": report.checked,
+                   "chi_undefined": undefined,
                    "failures": [{"q": H.arrow_names[q], "qp": H.arrow_names[qp],
                                  "lhs": str(lhs), "rhs": str(rhs)}
                                 for (q, qp, lhs, rhs) in report.failures],
-                   "ok": not report.failures}
+                   "ok": report.ok}
         _emit_json(ctx.report("kms", payload))
     else:
         lines = ctx.header("kms")
         lines.append(f"checked pairs: {report.checked}")
         lines.append(f"failures: {len(report.failures)}")
+        if undefined:
+            lines.append(f"chi undefined: {', '.join(undefined)}")
         if report.failures:
             lines.append("")
             lines += _table(["q", "qp", "lhs", "rhs"],
                             [[H.arrow_names[q], H.arrow_names[qp], str(lhs), str(rhs)]
                              for (q, qp, lhs, rhs) in report.failures])
         _emit(lines)
-    if report.failures:
-        print("check failed: kms", file=sys.stderr)
+    if not report.ok:
+        where = f" (chi undefined at {', '.join(undefined)})" if undefined else ""
+        print("check failed: kms" + where, file=sys.stderr)
         return 1
     return 0
 
@@ -349,11 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("atoms", cmd_atoms, "list the arrows of the realized hypergroupoid")
     add("algebra", cmd_algebra, "weights and structure constants")
     p = add("check", cmd_check, "quantale, hypergroupoid and weight identity checks")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="check all element triples (gated by atom count)")
-    p.add_argument("--samples", type=int, default=10_000,
-                   help="sampled triples when not exhaustive")
-    p.add_argument("--seed", type=int, default=0)
+    # accepted for old invocations and ignored: the quantale check is exact
+    p.add_argument("--exhaustive", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--samples", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     add("kms", cmd_kms, "verify the KMS identity for the unit-supported weight")
     p = add("evolve", cmd_evolve, "apply the time evolution to an element")
     p.add_argument("--t", type=float, required=True)

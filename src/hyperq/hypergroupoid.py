@@ -20,7 +20,7 @@ atoms absorbing it on each side (NotModular when resolution fails).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import NotModular
 from .quantale import AtomicQuantale
@@ -76,6 +76,25 @@ class Hypergroupoid:
 
     def arrow_id(self, name: str) -> int:
         return self.arrow_names.index(name)
+
+    @cached_property
+    def simple_arrows(self) -> tuple[int, ...]:
+        """The simple arrows (see ``is_simple``), in id order."""
+        return tuple(g for g in range(self.n_arrows) if is_simple(self, g))
+
+    @cached_property
+    def semisimple_factorization(self) -> tuple[bool, dict[int, tuple[int, int]]]:
+        """(flag, witness) of ``is_semisimple``; callers must not mutate
+        the shared witness."""
+        simples = self.simple_arrows
+        witness: dict[int, tuple[int, int]] = {}
+        for f in range(self.n_arrows):
+            target = frozenset((f,))
+            witness_f = next(((u, v) for u in simples for v in simples
+                              if self.compose(u, self.star[v]) == target), None)
+            if witness_f is not None:
+                witness[f] = witness_f
+        return len(witness) == self.n_arrows, witness
 
 
 def same_structure(H1: Hypergroupoid, H2: Hypergroupoid) -> bool:
@@ -262,38 +281,12 @@ def is_simple(H: Hypergroupoid, g: int) -> bool:
     return H.compose(g, H.star[g]) == frozenset((H.unit_arrow[H.tgt[g]],))
 
 
-@lru_cache(maxsize=None)
-def _simple_arrows(H: Hypergroupoid) -> tuple[int, ...]:
-    return tuple(g for g in range(H.n_arrows) if is_simple(H, g))
-
-
-@lru_cache(maxsize=None)
-def _semisimple_cached(H: Hypergroupoid):
-    simples = _simple_arrows(H)
-    witness: dict[int, tuple[int, int]] = {}
-    ok = True
-    for f in range(H.n_arrows):
-        found = None
-        for u in simples:
-            for v in simples:
-                if H.compose(u, H.star[v]) == frozenset((f,)):
-                    found = (u, v)
-                    break
-            if found:
-                break
-        if found is None:
-            ok = False
-        else:
-            witness[f] = found
-    return ok, witness
-
-
 def is_semisimple(H: Hypergroupoid) -> tuple[bool, dict[int, tuple[int, int]]]:
     """Whether every arrow is u v* for simple u, v, meaning the singleton
     composition set comp(u, star(v)) == {arrow}.  Scans simple arrows in
     id order; the witness maps each factorable arrow to its first
     factorization."""
-    ok, witness = _semisimple_cached(H)
+    ok, witness = H.semisimple_factorization
     return ok, dict(witness)
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import WeightedHypergroupoid, derived_weights
 from .errors import SchemaError
-from .extnat import INF, ExtNat, check_extnat
+from .extnat import INF, ExtNat, extnat_from_json
 from .hypergroupoid import Hypergroupoid
 from .quantale import AtomicQuantale, QElement
 from .realization import CosetSpec, PermAction, coset_union_action
@@ -95,14 +95,6 @@ def parse_input(obj: dict) -> InputSpec:
     raise SchemaError(f"unknown kind {kind!r}")
 
 
-def _parse_value(v) -> ExtNat:
-    if v == "inf":
-        return INF
-    if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
-        return v
-    raise SchemaError(f'values must be nonnegative integers or "inf", got {v!r}')
-
-
 def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
     units = tuple(_require(obj, "units", list))
     if not all(isinstance(u, str) for u in units):
@@ -159,17 +151,15 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
                arrow(_require(rec, "gp", str)))
         if key in mu:
             raise SchemaError(f"duplicate mu record for {rec}")
-        mu[key] = _parse_value(_require(rec, "value", None))
+        mu[key] = extnat_from_json(_require(rec, "value", None))
 
     left, right = derived_weights(H, mu)
     if "left" in obj or "right" in obj:
         left, right = list(left), list(right)
         for field, vec in (("left", left), ("right", right)):
             for nm, v in obj.get(field, {}).items():
-                vec[arrow(nm)] = _parse_value(v)
+                vec[arrow(nm)] = extnat_from_json(v)
         left, right = tuple(left), tuple(right)
-        for v in (*left, *right):
-            check_extnat(v)
     return WeightedHypergroupoid(base=H, mu=mu, left=left, right=right)
 
 

@@ -6,10 +6,19 @@ but composes by left projection, so the involution exchange law fails;
 it pins down the checker's counterexample reporting.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from hyperq.algebra import mu_semisimple
 from hyperq.errors import NotModular
-from hyperq.fixtures import delta_quantale, delta_quantale_mutated, s3_generators
+from hyperq.fixtures import (
+    delta_quantale,
+    delta_quantale_mutated,
+    s3_generators,
+    s3_mixed_action,
+)
 from hyperq.hypergroupoid import (
     Hypergroupoid,
     check_hg_axioms,
@@ -22,7 +31,7 @@ from hyperq.hypergroupoid import (
 )
 from hyperq.io import load_input
 from hyperq.quantale import AtomicQuantale, is_grothendieck
-from hyperq.realization import coset_partition, enumerate_group, from_cycles
+from hyperq.realization import coset_partition, enumerate_group, from_cycles, orbit_atoms
 
 from conftest import DATA
 
@@ -158,6 +167,17 @@ def test_cosets_alone_are_not_semisimple(real_cosets):
     ok, witness = is_semisimple(real_cosets.hypergroupoid)
     assert not ok
     assert 0 in witness and 1 not in witness
+
+
+def test_semisimplicity_caches_do_not_keep_tables_alive():
+    H = orbit_atoms(s3_mixed_action()).hypergroupoid
+    assert is_semisimple(H)[0]
+    assert mu_semisimple(H, 0, 0, 0) == 1
+    assert H.simple_arrows == tuple(g for g in range(H.n_arrows) if is_simple(H, g))
+    ref = weakref.ref(H)
+    del H
+    gc.collect()
+    assert ref() is None
 
 
 def test_top_decomposition_matches_semisimplicity(all_realized):

@@ -238,17 +238,22 @@ def test_algebra_reports_weights_and_constants(run):
 
 
 def test_check_passes_on_the_regular_action(run):
-    rc, out, err = run("check", FILES["s3_regular"], "--samples", "300")
+    rc, out, err = run("check", FILES["s3_regular"])
     assert rc == 0 and err == ""
-    assert "mode: sampled" in out
+    assert "mode:" not in out
     for name in ("Q1", "Q9", "HG3", "murel-3"):
         assert name in out
+    assert "216 atom triples" in out
 
 
 def test_check_exhaustive_mode(run):
-    rc, out, err = run("check", FILES["trivial2"], "--exhaustive")
-    assert rc == 0 and err == ""
-    assert "mode: exhaustive" in out
+    # the legacy flag still parses; the one exact check runs at any size
+    for key in ("trivial2", "s3_mixed"):
+        rc, out, err = run("check", FILES[key], "--exhaustive")
+        assert rc == 0 and err == "", key
+        assert "mode:" not in out
+    rc, out, _ = run("check", FILES["s3_mixed"], "--exhaustive", "--format", "json")
+    assert "mode" not in json.loads(out)
 
 
 def test_check_fails_on_broken_associativity_law(run):
@@ -287,6 +292,24 @@ def test_kms_detects_broken_weights(run):
     assert rc == 1
     assert err == "check failed: kms\n"
     assert "failures: 1" in out
+
+
+@pytest.mark.parametrize("name, undefined, checked", [
+    ("hg3_mutated", ["s", "t"], 3),   # s and t have zero right weight
+    ("inf_abstract", ["w"], 2),       # w has an infinite left weight
+])
+def test_kms_fails_where_chi_is_undefined(run, name, undefined, checked):
+    rc, out, err = run("kms", DATA / f"{name}.json")
+    assert rc == 1
+    assert err == f"check failed: kms (chi undefined at {', '.join(undefined)})\n"
+    assert f"chi undefined: {', '.join(undefined)}" in out
+    assert f"checked pairs: {checked}" in out
+    rc, out, err = run("kms", DATA / f"{name}.json", "--format", "json")
+    assert rc == 1 and err.startswith("check failed: kms")
+    obj = json.loads(out)
+    assert obj["chi_undefined"] == undefined
+    assert obj["checked"] == checked
+    assert obj["ok"] is False and obj["failures"] == []
 
 
 def test_evolve_fixed_values(run):
@@ -359,21 +382,18 @@ def test_error_exits_are_code_two(run, tmp_path):
                      "--element", "[zz]")
     assert rc == 2 and err.startswith("input error:")
 
-    # 14 atoms exceed the exhaustive and site gates
-    rc, _, err = run("check", FILES["s3_mixed"], "--exhaustive")
-    assert rc == 2 and err.startswith("error:")
+    # 14 atoms exceed the site gate
     rc, _, err = run("site", FILES["s3_mixed"])
     assert rc == 2 and err.startswith("error:")
 
 
-def test_thread_count_comes_from_the_environment(run, monkeypatch):
-    monkeypatch.setenv("HYPERQ_THREADS", "2")
-    rc, _, _ = run("check", FILES["trivial2"], "--samples", "100")
-    assert rc == 0
-    monkeypatch.setenv("HYPERQ_THREADS", "bogus")
-    rc, _, err = run("check", FILES["trivial2"], "--samples", "100")
-    assert rc == 2
-    assert "HYPERQ_THREADS" in err
+def test_legacy_check_flags_do_not_change_the_output(run):
+    for path in (FILES["s3_mixed"], DATA / "hg3_mutated.json"):
+        for fmt in ("table", "json"):
+            plain = run("check", path, "--format", fmt)
+            for flags in (("--exhaustive",), ("--samples", "100", "--seed", "3"),
+                          ("--samples", "0")):
+                assert run("check", path, "--format", fmt, *flags) == plain, flags
 
 
 def test_usage_problems_exit_two():

@@ -1,10 +1,11 @@
-"""Atom-table quantales: product/star helpers, the axiom checker in both
-modes, the top-decomposition test, and the site enumeration.
+"""Atom-table quantales: product/star helpers, the exact axiom checker,
+the top-decomposition test, and the site enumeration.
 
 The relation-composition oracle recomputes products of the two-point
 relation quantale from scratch with boolean matrix arithmetic, so the
-bitmask tables in the module under test are cross-checked against an
-independent construction.
+atom table in the module under test is cross-checked against an
+independent construction; tests/test_quantale_oracle.py does the same
+for the law checker.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from hyperq.errors import BoundExceeded
 from hyperq.fixtures import delta_quantale, delta_quantale_mutated
 from hyperq.hypergroupoid import to_quantale
 from hyperq.quantale import (
-    EXHAUSTIVE_ATOM_BOUND,
     SITE_ATOM_BOUND,
     bottom,
     check_axioms,
@@ -105,21 +105,20 @@ def test_star_reverses_pairs(real_pair, q_pair):
 
 
 def test_exhaustive_axioms_pass_on_pair_table(q_pair):
-    report = check_axioms(q_pair, mode="exhaustive")
+    report = check_axioms(q_pair)
     assert report.ok
-    assert report.mode == "exhaustive"
     assert [r.name for r in report.results] == [f"Q{i}" for i in range(1, 10)]
     assert all(r.passed for r in report.results)
 
 
 def test_exhaustive_axioms_pass_on_delta():
-    report = check_axioms(delta_quantale(), mode="exhaustive")
+    report = check_axioms(delta_quantale())
     assert report.ok
     assert not report.failing()
 
 
 def test_mutated_delta_fails_modularity():
-    report = check_axioms(delta_quantale_mutated(), mode="exhaustive")
+    report = check_axioms(delta_quantale_mutated())
     assert not report.ok
     q9 = report.result("Q9")
     assert not q9.passed
@@ -128,29 +127,39 @@ def test_mutated_delta_fails_modularity():
         frozenset((1,)), frozenset((1,)), frozenset((0,)))
 
 
-def test_mutated_delta_fails_in_sampled_mode_too():
-    report = check_axioms(delta_quantale_mutated(), mode="sampled",
-                          samples=2000, seed=0)
-    assert not report.result("Q9").passed
+def test_mutated_delta_fails_only_modularity():
+    # associative and unital, so Q9 is the only failing law
+    report = check_axioms(delta_quantale_mutated())
+    assert [r.name for r in report.failing()] == ["Q9"]
 
 
 def test_exhaustive_bound_is_enforced(q_mixed):
-    assert q_mixed.n_atoms > EXHAUSTIVE_ATOM_BOUND
+    # the law check has no atom bound any more: 14 atoms, past any 2**n
+    # element enumeration, are decided exactly on atoms; the bound that
+    # remains on this table is the site's
+    assert q_mixed.n_atoms == 14
+    assert check_axioms(q_mixed).ok
     with pytest.raises(BoundExceeded):
-        check_axioms(q_mixed, mode="exhaustive")
+        site(q_mixed)
 
 
 def test_sampled_mode_passes_and_is_deterministic(q_mixed):
-    first = check_axioms(q_mixed, mode="sampled", samples=500, seed=7)
-    second = check_axioms(q_mixed, mode="sampled", samples=500, seed=7)
+    # the exact check that replaced the sampler passes on the mixed table
+    # and gives the same report on every run
+    first = check_axioms(q_mixed)
     assert first.ok
-    assert [(r.name, r.passed) for r in first.results] == \
-        [(r.name, r.passed) for r in second.results]
+    assert first == check_axioms(q_mixed)
+    assert [(r.name, r.passed, r.note) for r in first.results] == \
+        [(r.name, r.passed, r.note) for r in check_axioms(q_mixed).results]
 
 
-def test_sampled_mode_with_zero_samples_checks_structure(q_mixed):
-    report = check_axioms(q_mixed, mode="sampled", samples=0, seed=0)
-    assert report.ok
+def test_axiom_notes_state_the_coverage(q_mixed):
+    notes = {r.name: r.note for r in check_axioms(q_mixed).results}
+    assert notes["Q4"] == notes["Q9"] == "2744 atom triples"
+    assert notes["Q8"] == "196 atom pairs"
+    assert notes["Q6"] == notes["Q7"] == "14 atoms"
+    for name in ("Q1", "Q2", "Q3", "Q5"):
+        assert notes[name].startswith("holds by construction")
 
 
 @settings(max_examples=200, deadline=None)
