@@ -169,12 +169,11 @@ def _axiom_rows(Q, report) -> list[list[str]]:
     return rows
 
 
-def _named_rows(names, report) -> list[list[str]]:
+def _named_rows(report) -> list[list[str]]:
     rows = []
     for r in report.results:
         ce = "" if r.counterexample is None else str(r.counterexample)
-        note = getattr(r, "note", "")
-        rows.append([r.name, "pass" if r.passed else "FAIL", ce, note])
+        rows.append([r.name, "pass" if r.passed else "FAIL", ce, r.note])
     return rows
 
 
@@ -210,7 +209,7 @@ def cmd_check(args) -> int:
                         _axiom_rows(Q, q_report))
         lines.append("")
         lines += _table(["axiom", "status", "counterexample", "note"],
-                        _named_rows(None, h_report))
+                        _named_rows(h_report))
         lines.append("")
         lines += _table(["identity", "status", "failures", "checked"],
                         [[r.name, "pass" if r.passed else "FAIL",

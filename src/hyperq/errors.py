@@ -9,6 +9,11 @@ class SchemaError(HyperqError):
     """An input file does not conform to the hyperq/1 JSON schema."""
 
 
+class MalformedTable(HyperqError):
+    """A table violates a structural invariant of its type (typing, the
+    involution, identities, the domain of composition)."""
+
+
 class BoundExceeded(HyperqError):
     """An exhaustive enumeration was requested past its size gate."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import WeightedHypergroupoid, derived_weights
-from .errors import SchemaError
+from .errors import MalformedTable, SchemaError
 from .extnat import INF, ExtNat, extnat_from_json
 from .hypergroupoid import Hypergroupoid
 from .quantale import AtomicQuantale, QElement
@@ -90,7 +90,7 @@ def parse_input(obj: dict) -> InputSpec:
             return InputSpec(name=name, kind=kind, weighted=_parse_abstract(obj))
     except SchemaError:
         raise
-    except (AssertionError, ValueError, KeyError, IndexError) as exc:
+    except (AssertionError, MalformedTable, ValueError, KeyError, IndexError) as exc:
         raise SchemaError(f"invalid {kind} input: {exc}") from exc
     raise SchemaError(f"unknown kind {kind!r}")
 
@@ -157,7 +157,8 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
     if "left" in obj or "right" in obj:
         left, right = list(left), list(right)
         for field, vec in (("left", left), ("right", right)):
-            for nm, v in obj.get(field, {}).items():
+            overrides = _require(obj, field, dict) if field in obj else {}
+            for nm, v in overrides.items():
                 vec[arrow(nm)] = extnat_from_json(v)
         left, right = tuple(left), tuple(right)
     return WeightedHypergroupoid(base=H, mu=mu, left=left, right=right)

@@ -436,3 +436,45 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "command: atoms" in proc.stdout
+
+
+def _drop_last_comp(obj):
+    obj["comp"].pop()
+
+
+def _star_not_an_involution(obj):
+    obj["arrows"][0]["star"] = "d"
+
+
+def _left_array(obj):
+    obj["left"] = [1, 2]
+
+
+def _right_array(obj):
+    obj["right"] = [1, 2]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("change, message", [
+    pytest.param(_drop_last_comp,
+                 "invalid abstract input: missing composition set for (1,1)",
+                 id="incomplete_comp"),
+    pytest.param(_star_not_an_involution,
+                 "invalid abstract input: star must be an involution",
+                 id="star_not_an_involution"),
+    pytest.param(_left_array, "field 'left' must be dict, got list", id="left_array"),
+    pytest.param(_right_array, "field 'right' must be dict, got list", id="right_array"),
+])
+def test_malformed_abstract_inputs_exit_two(tmp_path, flags, change, message):
+    # the table's invariants are checked by explicit raises, so the
+    # refusal must not depend on assertions being enabled
+    obj = json.loads((DATA / "delta_abstract.json").read_text())
+    change(obj)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "hyperq.cli", "check", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {message}\n"
