@@ -20,11 +20,10 @@ from .errors import (
     SchemaError,
     ZeroWeight,
 )
+from .checks import Check, Report
 from .extnat import INF, ExtNat, check_extnat, extnat_from_json, extnat_to_json, is_finite
 from .quantale import (
     AtomicQuantale,
-    AxiomReport,
-    AxiomResult,
     SiteDescription,
     bottom,
     check_axioms,
@@ -39,8 +38,6 @@ from .quantale import (
 )
 from .hypergroupoid import (
     Hypergroupoid,
-    HgReport,
-    HgResult,
     MorphismReport,
     check_hg_axioms,
     check_morphism,
@@ -64,9 +61,7 @@ from .realization import (
     weights,
 )
 from .algebra import (
-    CheckResult,
     KmsReport,
-    WeightReport,
     WeightedHypergroupoid,
     adjoint_check,
     chi,
@@ -90,8 +85,6 @@ from .qsets import (
     FiniteLattice,
     ProjObject,
     QSet,
-    QsetReport,
-    QsetResult,
     QuantaleMatrix,
     RightAction,
     build_lattice,

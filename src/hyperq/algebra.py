@@ -37,7 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfiniteCoefficient, NotSemisimple, ZeroWeight
+from .checks import Check, Report
+from .errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from .extnat import INF, ExtNat, check_extnat, is_finite
 from .hypergroupoid import Hypergroupoid, is_simple
 
@@ -60,16 +61,18 @@ class WeightedHypergroupoid:
 
     def __post_init__(self):
         H = self.base
-        assert len(self.left) == len(self.right) == H.n_arrows
+        if not len(self.left) == len(self.right) == H.n_arrows:
+            raise MalformedTable("left and right must have one weight per arrow")
         for v in self.left + self.right:
             check_extnat(v)
         for (a, g, gp), v in self.mu.items():
             check_extnat(v)
-            assert a in H.compose(g, gp), \
-                f"mu entry ({a},{g},{gp}) outside the composition table"
+            if a not in H.compose(g, gp):
+                raise MalformedTable(f"mu entry ({a},{g},{gp}) outside the composition table")
         for (g, gp), cs in H.comp.items():
             for a in cs:
-                assert (a, g, gp) in self.mu, f"mu missing entry ({a},{g},{gp})"
+                if (a, g, gp) not in self.mu:
+                    raise MalformedTable(f"mu missing entry ({a},{g},{gp})")
 
 
 def derived_weights(H: Hypergroupoid, mu) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
@@ -88,35 +91,14 @@ def derived_weights(H: Hypergroupoid, mu) -> tuple[tuple[ExtNat, ...], tuple[Ext
 # weight identities
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    failures: tuple = ()
-
-
-@dataclass(frozen=True)
-class WeightReport:
-    results: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def result(self, name: str) -> CheckResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
 _FAILURE_CAP = 20
 
 
-def validate_weights(W: WeightedHypergroupoid) -> WeightReport:
+def validate_weights(W: WeightedHypergroupoid) -> Report:
     """Check the symmetry laws and the three weight identities, exactly,
-    in extended natural arithmetic."""
+    in extended natural arithmetic.  Each law's ``Check`` counts the
+    instances it compared and keeps the first 20 failures as
+    (key, lhs, rhs)."""
     H = W.base
     star = H.star
     results = []
@@ -129,7 +111,7 @@ def validate_weights(W: WeightedHypergroupoid) -> WeightReport:
             if lhs != rhs:
                 if len(failures) < _FAILURE_CAP:
                     failures.append((key, lhs, rhs))
-        results.append(CheckResult(name, not failures, checked, tuple(failures)))
+        results.append(Check(name, not failures, checked, tuple(failures)))
 
     dleft, dright = derived_weights(H, W.mu)
     run("left-def", ((g, W.left[g], dleft[g]) for g in range(H.n_arrows)))
@@ -144,7 +126,7 @@ def validate_weights(W: WeightedHypergroupoid) -> WeightReport:
     run("murel-3", (((g, gp), W.left[g] * W.left[gp],
                      sum(W.mu[(a, g, gp)] * W.left[a] for a in sorted(cs)))
                     for (g, gp), cs in sorted(H.comp.items())))
-    return WeightReport(results=tuple(results))
+    return Report(tuple(results))
 
 
 def is_locally_finite(W: WeightedHypergroupoid) -> bool:
@@ -333,7 +315,7 @@ def decompose_matrix(real, M: np.ndarray) -> Element:
     return out
 
 
-def adjoint_check(real) -> WeightReport:
+def adjoint_check(real) -> Report:
     """Exact adjointness of the involution in the point pairing.
 
     For unit-indicator vectors v, v' (value 1 on one point orbit, the
@@ -346,7 +328,8 @@ def adjoint_check(real) -> WeightReport:
     must hold for every arrow.  chi comes from the structure constant
     table; both pairings are recounted directly from the incidence
     matrices at every point, which also rechecks that v'[g] is constant
-    on the source orbit."""
+    on the source orbit.  The report holds an "orbit-constant" and an
+    "adjoint" check."""
     H = real.hypergroupoid
     results = []
     failures_const = []
@@ -370,10 +353,10 @@ def adjoint_check(real) -> WeightReport:
         checked += 1
         if right_mu == 0 or lhs != Fraction(left_mu, right_mu) * rhs_count:
             failures_adj.append((g, lhs, left_mu, right_mu, rhs_count))
-    results.append(CheckResult("orbit-constant", not failures_const,
-                               H.n_arrows, tuple(failures_const)))
-    results.append(CheckResult("adjoint", not failures_adj, checked, tuple(failures_adj)))
-    return WeightReport(results=tuple(results))
+    results.append(Check("orbit-constant", not failures_const,
+                         H.n_arrows, tuple(failures_const)))
+    results.append(Check("adjoint", not failures_adj, checked, tuple(failures_adj)))
+    return Report(tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +388,16 @@ def mu_semisimple(H: Hypergroupoid, a: int, g: int, gp: int) -> ExtNat:
 
 def left_finite_witness(W: WeightedHypergroupoid, g: int):
     """A simple arrow u with g u finite and all simple, certifying left
-    finiteness; asserts |g|_l = |g u| and returns (u, comp(g, u)).
-    Returns None when no witness exists among the arrows."""
+    finiteness; returns (u, comp(g, u)), or None when no witness exists
+    among the arrows.  Raises ValueError when |g|_l differs from |g u|,
+    which a table with overridden weights can do."""
     H = W.base
     for u in H.simple_arrows:
         if not H.composable(g, u):
             continue
         gu = H.compose(g, u)
         if all(is_simple(H, c) for c in gu):
-            assert W.left[g] == len(gu), \
-                f"left weight {W.left[g]} differs from |g u| = {len(gu)}"
+            if W.left[g] != len(gu):
+                raise ValueError(f"left weight {W.left[g]} differs from |g u| = {len(gu)}")
             return u, gu
     return None

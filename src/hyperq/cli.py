@@ -160,21 +160,18 @@ def cmd_algebra(args) -> int:
     return 0
 
 
-def _axiom_rows(Q, report) -> list[list[str]]:
-    rows = []
-    for r in report.results:
-        ce = "" if r.counterexample is None else \
-            " ".join(_elem_str(Q, e) for e in r.counterexample)
-        rows.append([r.name, "pass" if r.passed else "FAIL", ce, r.note])
-    return rows
+def _law_rows(report, fmt) -> list[list[str]]:
+    """Table rows of a law report; fmt renders a counterexample."""
+    return [[r.name, "pass" if r.passed else "FAIL",
+             "" if r.counterexample is None else fmt(r.counterexample), r.note]
+            for r in report.results]
 
 
-def _named_rows(report) -> list[list[str]]:
-    rows = []
-    for r in report.results:
-        ce = "" if r.counterexample is None else str(r.counterexample)
-        rows.append([r.name, "pass" if r.passed else "FAIL", ce, r.note])
-    return rows
+def _law_entries(report, fmt) -> list[dict]:
+    """JSON entries of a law report; fmt renders a counterexample."""
+    return [{"name": r.name, "passed": r.passed,
+             "counterexample": None if r.counterexample is None else fmt(r.counterexample),
+             "note": r.note} for r in report.results]
 
 
 def cmd_check(args) -> int:
@@ -183,20 +180,13 @@ def cmd_check(args) -> int:
     q_report = check_axioms(Q)
     h_report = check_hg_axioms(ctx.base)
     w_report = validate_weights(ctx.weighted)
-    failed = [r.name for r in q_report.failing()]
-    failed += [r.name for r in h_report.results if not r.passed]
-    failed += [r.name for r in w_report.results if not r.passed]
+    failed = [r.name for report in (q_report, h_report, w_report) for r in report.failing()]
 
     if args.format == "json":
         payload = {
-            "quantale": [{"name": r.name, "passed": r.passed,
-                          "counterexample": None if r.counterexample is None else
-                          [sorted(Q.atom_names[i] for i in e) for e in r.counterexample],
-                          "note": r.note} for r in q_report.results],
-            "hypergroupoid": [{"name": r.name, "passed": r.passed,
-                               "counterexample": None if r.counterexample is None
-                               else list(r.counterexample), "note": r.note}
-                              for r in h_report.results],
+            "quantale": _law_entries(
+                q_report, lambda ce: [sorted(Q.atom_names[i] for i in e) for e in ce]),
+            "hypergroupoid": _law_entries(h_report, list),
             "weights": [{"name": r.name, "passed": r.passed, "checked": r.checked,
                          "failures": [list(f) for f in r.failures]}
                         for r in w_report.results],
@@ -204,12 +194,12 @@ def cmd_check(args) -> int:
         }
         _emit_json(ctx.report("check", payload))
     else:
+        headers = ["axiom", "status", "counterexample", "note"]
         lines = ctx.header("check")
-        lines += _table(["axiom", "status", "counterexample", "note"],
-                        _axiom_rows(Q, q_report))
+        lines += _table(headers, _law_rows(
+            q_report, lambda ce: " ".join(_elem_str(Q, e) for e in ce)))
         lines.append("")
-        lines += _table(["axiom", "status", "counterexample", "note"],
-                        _named_rows(h_report))
+        lines += _table(headers, _law_rows(h_report, str))
         lines.append("")
         lines += _table(["identity", "status", "failures", "checked"],
                         [[r.name, "pass" if r.passed else "FAIL",

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import or_
 
+from .checks import Report, first_failure
 from .errors import MalformedTable, NotModular
 from .quantale import AtomicQuantale
 
@@ -120,32 +121,11 @@ def same_structure(H1: Hypergroupoid, H2: Hypergroupoid) -> bool:
 # axiom checking
 
 
-@dataclass(frozen=True)
-class HgResult:
-    name: str
-    passed: bool
-    counterexample: tuple | None = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class HgReport:
-    results: tuple[HgResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def result(self, name: str) -> HgResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
-def check_hg_axioms(H: Hypergroupoid) -> HgReport:
+def check_hg_axioms(H: Hypergroupoid) -> Report:
     """Check HG1 (unique identities), HG2 (associativity) and HG3
-    (the involution exchange law) over all composable tuples.
+    (the involution exchange law) over all composable tuples.  Each law
+    is one ``Check`` of the returned ``Report``; a failing law keeps its
+    first failing tuple as its one failure.
 
     HG2 compares, for each composable (x, y), the row of (x y) z with the
     row of x (y z) over the z with tgt z = src y, and reports the first
@@ -180,8 +160,7 @@ def check_hg_axioms(H: Hypergroupoid) -> HgReport:
                 break
         if hg1_ce:
             break
-    results.append(HgResult("HG1", hg1_ce is None, hg1_ce,
-                            note="identity uniqueness included"))
+    results.append(first_failure("HG1", hg1_ce, note="identity uniqueness included"))
 
     # HG2: with z in into[src y], (x y) z is the OR of the rows after[c]
     # over c in x y, and x (y z) the OR of after[x] at the positions of y z
@@ -218,7 +197,7 @@ def check_hg_axioms(H: Hypergroupoid) -> HgReport:
                 break
         if hg2_ce:
             break
-    results.append(HgResult("HG2", hg2_ce is None, hg2_ce))
+    results.append(first_failure("HG2", hg2_ce))
 
     # HG3: x in yz implies z in y*x and y in xz*
     hg3_ce = None
@@ -229,9 +208,9 @@ def check_hg_axioms(H: Hypergroupoid) -> HgReport:
                 break
         if hg3_ce:
             break
-    results.append(HgResult("HG3", hg3_ce is None, hg3_ce))
+    results.append(first_failure("HG3", hg3_ce))
 
-    return HgReport(results=tuple(results))
+    return Report(tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +328,10 @@ def check_morphism(
     preservation is checked and reported separately."""
     umap = tuple(unit_map[e] for e in range(H1.n_units))
     amap = tuple(arrow_map[g] for g in range(H1.n_arrows))
-    assert all(0 <= e < H2.n_units for e in umap)
-    assert all(0 <= g < H2.n_arrows for g in amap)
+    if any(not 0 <= e < H2.n_units for e in umap):
+        raise ValueError("unit map sends a unit outside the target")
+    if any(not 0 <= g < H2.n_arrows for g in amap):
+        raise ValueError("arrow map sends an arrow outside the target")
 
     failures = []
     typing_ok = True

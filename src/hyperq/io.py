@@ -30,7 +30,6 @@ from .algebra import WeightedHypergroupoid, derived_weights
 from .errors import MalformedTable, SchemaError
 from .extnat import INF, ExtNat, extnat_from_json
 from .hypergroupoid import Hypergroupoid
-from .quantale import AtomicQuantale, QElement
 from .realization import CosetSpec, PermAction, coset_union_action
 
 SCHEMA = "hyperq/1"
@@ -90,7 +89,7 @@ def parse_input(obj: dict) -> InputSpec:
             return InputSpec(name=name, kind=kind, weighted=_parse_abstract(obj))
     except SchemaError:
         raise
-    except (AssertionError, MalformedTable, ValueError, KeyError, IndexError) as exc:
+    except (MalformedTable, ValueError, KeyError, IndexError) as exc:
         raise SchemaError(f"invalid {kind} input: {exc}") from exc
     raise SchemaError(f"unknown kind {kind!r}")
 
@@ -252,22 +251,3 @@ def format_complex(z: complex, places: int = 12) -> str:
         im_part = 0.0
     sign = "+" if im_part >= 0 else "-"
     return f"{re_part:.{places}f}{sign}{abs(im_part):.{places}f}j"
-
-
-# ---------------------------------------------------------------------------
-# quantale matrices (test fixtures)
-
-
-def qmatrix_to_json(Q: AtomicQuantale, M) -> list:
-    return [[sorted(Q.atom_names[i] for i in M[r, c]) for c in range(M.cols)]
-            for r in range(M.rows)]
-
-
-def qmatrix_from_json(Q: AtomicQuantale, obj) -> "QuantaleMatrix":
-    from .qsets import qmatrix
-    ix = {nm: i for i, nm in enumerate(Q.atom_names)}
-    try:
-        cells = [[frozenset(ix[nm] for nm in cell) for cell in row] for row in obj]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad matrix entry: {exc}") from exc
-    return qmatrix(cells)

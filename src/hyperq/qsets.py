@@ -19,7 +19,9 @@ and the absorption identities [x, x] [x, y] = [x, y] = [x, y] [y, y]
 follow; the checkers verify the consequences hold and report any
 discrepancy.  Q-relations and Q-functions between Q-sets follow the same
 pattern with the compatibility (R1, R2), single-valuedness (F1) and
-totality (F2) laws and their primed saturated forms.
+totality (F2) laws and their primed saturated forms.  Every checker
+returns a ``Report`` with one ``Check`` per law; a failing law keeps its
+first failing tuple as its one failure.
 
 ``check_modular_action`` verifies that a finite sup-lattice with a right
 atom action is a module (join-bilinear, associative, unital) satisfying
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .checks import Check, Report, first_failure
 from .errors import DimensionMismatch
 from .quantale import AtomicQuantale, QElement, mask_to_element, q_mul, q_star, unit_element
 
@@ -46,8 +49,8 @@ class QuantaleMatrix:
     entries: tuple[tuple[QElement, ...], ...]
 
     def __post_init__(self):
-        assert len(self.entries) == self.rows
-        assert all(len(row) == self.cols for row in self.entries)
+        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
+            raise DimensionMismatch(f"entries must form a {self.rows}x{self.cols} table")
 
     def __getitem__(self, key) -> QElement:
         i, j = key
@@ -93,7 +96,8 @@ def star_transpose(Q: AtomicQuantale, M: QuantaleMatrix) -> QuantaleMatrix:
 
 
 def entrywise_le(M: QuantaleMatrix, N: QuantaleMatrix) -> bool:
-    assert (M.rows, M.cols) == (N.rows, N.cols)
+    if (M.rows, M.cols) != (N.rows, N.cols):
+        raise DimensionMismatch(f"cannot compare {M.rows}x{M.cols} with {N.rows}x{N.cols}")
     return all(M[i, j] <= N[i, j] for i in range(M.rows) for j in range(M.cols))
 
 
@@ -153,28 +157,6 @@ class QSet:
     bracket: QuantaleMatrix
 
 
-@dataclass(frozen=True)
-class QsetResult:
-    name: str
-    passed: bool
-    counterexample: tuple | None = None
-
-
-@dataclass(frozen=True)
-class QsetReport:
-    results: tuple[QsetResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def result(self, name: str) -> QsetResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
 def _join(cells) -> QElement:
     acc: set[int] = set()
     for c in cells:
@@ -182,44 +164,45 @@ def _join(cells) -> QElement:
     return frozenset(acc)
 
 
-def check_qset(Q: AtomicQuantale, carrier, bracket: QuantaleMatrix) -> QsetReport:
+def check_qset(Q: AtomicQuantale, carrier, bracket: QuantaleMatrix) -> Report:
     """Check S1 and S2 over the carrier; when they hold, the saturated
     form S2' and the absorption identities are consequences and any
     failure of them is reported as a derived-law discrepancy."""
     carrier = tuple(carrier)
     n = len(carrier)
-    assert (bracket.rows, bracket.cols) == (n, n)
+    if (bracket.rows, bracket.cols) != (n, n):
+        raise DimensionMismatch(f"bracket must be {n}x{n}, got {bracket.rows}x{bracket.cols}")
     results = []
 
     s1 = next((
         (carrier[x], carrier[y]) for x in range(n) for y in range(n)
         if bracket[x, y] != q_star(Q, bracket[y, x])), None)
-    results.append(QsetResult("S1", s1 is None, s1))
+    results.append(first_failure("S1", s1))
 
     s2 = next((
         (carrier[x], carrier[y], carrier[z])
         for x in range(n) for y in range(n) for z in range(n)
         if not q_mul(Q, bracket[x, y], bracket[y, z]) <= bracket[x, z]), None)
-    results.append(QsetResult("S2", s2 is None, s2))
+    results.append(first_failure("S2", s2))
 
     if s1 is None and s2 is None:
         s2p = next((
             (carrier[x], carrier[y]) for x in range(n) for y in range(n)
             if _join(q_mul(Q, bracket[x, t], bracket[t, y]) for t in range(n))
             != bracket[x, y]), None)
-        results.append(QsetResult("S2'", s2p is None, s2p))
+        results.append(first_failure("S2'", s2p))
         absorb = next((
             (carrier[x], carrier[y]) for x in range(n) for y in range(n)
             if q_mul(Q, bracket[x, x], bracket[x, y]) != bracket[x, y]
             or q_mul(Q, bracket[x, y], bracket[y, y]) != bracket[x, y]), None)
-        results.append(QsetResult("absorption", absorb is None, absorb))
-    return QsetReport(results=tuple(results))
+        results.append(first_failure("absorption", absorb))
+    return Report(tuple(results))
 
 
 def qset(Q: AtomicQuantale, carrier, bracket: QuantaleMatrix) -> QSet:
     report = check_qset(Q, carrier, bracket)
     if not report.ok:
-        bad = next(r for r in report.results if not r.passed)
+        bad = report.failing()[0]
         raise ValueError(f"bracket violates {bad.name} at {bad.counterexample}")
     return QSet(carrier=tuple(carrier), bracket=bracket)
 
@@ -230,7 +213,7 @@ def singleton_qset(Q: AtomicQuantale) -> QSet:
 
 
 def check_qrelation(Q: AtomicQuantale, X: QSet, Y: QSet,
-                    table: QuantaleMatrix) -> QsetReport:
+                    table: QuantaleMatrix) -> Report:
     """Compatibility of a |Y| x |X| table with the two brackets:
 
         R1  [y, y']_Y R(y', x) <= R(y, x), equality when y = y'
@@ -250,7 +233,7 @@ def check_qrelation(Q: AtomicQuantale, X: QSet, Y: QSet,
         if not lhs <= table[y, x] or (y == yp and lhs != table[y, x]):
             r1 = (Y.carrier[y], Y.carrier[yp], X.carrier[x])
             break
-    results.append(QsetResult("R1", r1 is None, r1))
+    results.append(first_failure("R1", r1))
 
     r2 = None
     for y, xp, x in iproduct(range(ny), range(nx), range(nx)):
@@ -258,24 +241,24 @@ def check_qrelation(Q: AtomicQuantale, X: QSet, Y: QSet,
         if not lhs <= table[y, x] or (x == xp and lhs != table[y, x]):
             r2 = (Y.carrier[y], X.carrier[xp], X.carrier[x])
             break
-    results.append(QsetResult("R2", r2 is None, r2))
+    results.append(first_failure("R2", r2))
 
     if r1 is None and r2 is None:
         r1p = next((
             (Y.carrier[y], X.carrier[x]) for y in range(ny) for x in range(nx)
             if _join(q_mul(Q, by[y, yp], table[yp, x]) for yp in range(ny))
             != table[y, x]), None)
-        results.append(QsetResult("R1'", r1p is None, r1p))
+        results.append(first_failure("R1'", r1p))
         r2p = next((
             (Y.carrier[y], X.carrier[x]) for y in range(ny) for x in range(nx)
             if _join(q_mul(Q, table[y, xp], bx[xp, x]) for xp in range(nx))
             != table[y, x]), None)
-        results.append(QsetResult("R2'", r2p is None, r2p))
-    return QsetReport(results=tuple(results))
+        results.append(first_failure("R2'", r2p))
+    return Report(tuple(results))
 
 
 def check_qfunction(Q: AtomicQuantale, X: QSet, Y: QSet,
-                    table: QuantaleMatrix) -> QsetReport:
+                    table: QuantaleMatrix) -> Report:
     """Q-relation laws plus single-valuedness and totality:
 
         F1  R(y, x) R(y', x)* <= [y, y']_Y
@@ -292,21 +275,21 @@ def check_qfunction(Q: AtomicQuantale, X: QSet, Y: QSet,
         (Y.carrier[y], Y.carrier[yp], X.carrier[x])
         for y in range(ny) for yp in range(ny) for x in range(nx)
         if not q_mul(Q, table[y, x], q_star(Q, table[yp, x])) <= by[y, yp]), None)
-    results.append(QsetResult("F1", f1 is None, f1))
+    results.append(first_failure("F1", f1))
 
     f2 = next((
         (X.carrier[x],) for x in range(nx)
         if not bx[x, x] <= _join(
             q_mul(Q, q_star(Q, table[y, x]), table[y, x]) for y in range(ny))), None)
-    results.append(QsetResult("F2", f2 is None, f2))
+    results.append(first_failure("F2", f2))
 
     if rel.ok and f1 is None and f2 is None:
         f2p = next((
             (X.carrier[x], X.carrier[xp]) for x in range(nx) for xp in range(nx)
             if not bx[x, xp] <= _join(
                 q_mul(Q, q_star(Q, table[y, x]), table[y, xp]) for y in range(ny))), None)
-        results.append(QsetResult("F2'", f2p is None, f2p))
-    return QsetReport(results=tuple(results))
+        results.append(first_failure("F2'", f2p))
+    return Report(tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +315,26 @@ class FiniteLattice:
 
     def meet(self, a: int, b: int) -> int:
         lower = [t for t in range(self.size) if self.le(t, a) and self.le(t, b)]
-        m = self.join_all(lower)
-        assert self.le(m, a) and self.le(m, b)
-        return m
+        return self.join_all(lower)
 
 
 def build_lattice(join) -> FiniteLattice:
     join = tuple(tuple(row) for row in join)
     n = len(join)
-    assert all(len(row) == n for row in join)
+    if any(len(row) != n for row in join):
+        raise ValueError("join table must be square")
     for a in range(n):
-        assert join[a][a] == a, "join must be idempotent"
+        if join[a][a] != a:
+            raise ValueError("join must be idempotent")
         for b in range(n):
-            assert join[a][b] == join[b][a], "join must be commutative"
+            if join[a][b] != join[b][a]:
+                raise ValueError("join must be commutative")
             for c in range(n):
-                assert join[join[a][b]][c] == join[a][join[b][c]], \
-                    "join must be associative"
+                if join[join[a][b]][c] != join[a][join[b][c]]:
+                    raise ValueError("join must be associative")
     bottoms = [b for b in range(n) if all(join[b][x] == x for x in range(n))]
-    assert len(bottoms) == 1, "lattice needs a unique bottom"
+    if len(bottoms) != 1:
+        raise ValueError("lattice needs a unique bottom")
     return FiniteLattice(size=n, join=join, bottom=bottoms[0])
 
 
@@ -396,7 +381,7 @@ def _sample_elements(Q: AtomicQuantale, limit: int = 1 << 10):
     return [frozenset()] + singles + doubles + [frozenset(range(n))]
 
 
-def check_modular_action(Q: AtomicQuantale, action: RightAction) -> QsetReport:
+def check_modular_action(Q: AtomicQuantale, action: RightAction) -> Report:
     """Module laws and the modular inequality m & n q <= ((m q*) & n) q,
     with q over atoms and the element sample."""
     lat = action.lattice
@@ -405,7 +390,7 @@ def check_modular_action(Q: AtomicQuantale, action: RightAction) -> QsetReport:
 
     bad = next(((m,) for m in range(n)
                 if action.act(m, frozenset()) != lat.bottom), None)
-    results.append(QsetResult("bottom", bad is None, bad))
+    results.append(first_failure("bottom", bad))
 
     # sup-lattice morphisms preserve the empty join too
     bil = next((
@@ -416,17 +401,17 @@ def check_modular_action(Q: AtomicQuantale, action: RightAction) -> QsetReport:
             (m, mp, j) for m in range(n) for mp in range(n) for j in range(Q.n_atoms)
             if action.table[lat.join[m][mp]][j]
             != lat.join[action.table[m][j]][action.table[mp][j]]), None)
-    results.append(QsetResult("join-bilinear", bil is None, bil))
+    results.append(first_failure("join-bilinear", bil))
 
     assoc = next((
         (m, i, j) for m in range(n) for i in range(Q.n_atoms) for j in range(Q.n_atoms)
         if action.act(m, q_mul(Q, frozenset((i,)), frozenset((j,))))
         != action.table[action.table[m][i]][j]), None)
-    results.append(QsetResult("assoc", assoc is None, assoc))
+    results.append(first_failure("assoc", assoc))
 
     unit = next((
         (m,) for m in range(n) if action.act(m, unit_element(Q)) != m), None)
-    results.append(QsetResult("unit", unit is None, unit))
+    results.append(first_failure("unit", unit))
 
     mod = None
     sample = [q for q in _sample_elements(Q) if len(q) != 1]
@@ -445,12 +430,12 @@ def check_modular_action(Q: AtomicQuantale, action: RightAction) -> QsetReport:
                 break
         if mod:
             break
-    results.append(QsetResult("modular", mod is None, mod))
-    return QsetReport(results=tuple(results))
+    results.append(first_failure("modular", mod))
+    return Report(tuple(results))
 
 
 def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
-                     act_c: RightAction, f) -> QsetReport:
+                     act_c: RightAction, f) -> Report:
     """The three conditions for a bilinear map of right modules
     f: A x B -> C (f given as a nested table):
 
@@ -464,7 +449,7 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
 
     bot = (all(f[A.bottom][b] == C.bottom for b in range(B.size))
            and all(f[a][B.bottom] == C.bottom for a in range(A.size)))
-    results.append(QsetResult("bottom", bot))
+    results.append(Check("bottom", bot))
 
     bil = next((
         (a, ap, b) for a in range(A.size) for ap in range(A.size) for b in range(B.size)
@@ -473,7 +458,7 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
         bil = next((
             (a, b, bp) for a in range(A.size) for b in range(B.size) for bp in range(B.size)
             if f[a][B.join[b][bp]] != C.join[f[a][b]][f[a][bp]]), None)
-    results.append(QsetResult("join-bilinear", bil is None, bil))
+    results.append(first_failure("join-bilinear", bil))
 
     sample = _sample_elements(Q)
     c1 = c2 = c3 = None
@@ -491,7 +476,7 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
                     c2 = (a, b, tuple(sorted(q)))
                 if c3 is None and not C.le(act_c.act(f[a][b], q), f[aq][bq]):
                     c3 = (a, b, tuple(sorted(q)))
-    results.append(QsetResult("cond-1", c1 is None, c1))
-    results.append(QsetResult("cond-2", c2 is None, c2))
-    results.append(QsetResult("cond-3", c3 is None, c3))
-    return QsetReport(results=tuple(results))
+    results.append(first_failure("cond-1", c1))
+    results.append(first_failure("cond-2", c2))
+    results.append(first_failure("cond-3", c3))
+    return Report(tuple(results))

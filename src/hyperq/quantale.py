@@ -26,9 +26,10 @@ hom(q, q') = { f | 1 & f* f = q and f f* <= q' }.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import BoundExceeded
+from .checks import Report, first_failure
+from .errors import BoundExceeded, MalformedTable
 
 QElement = frozenset[int]
 
@@ -53,16 +54,18 @@ class AtomicQuantale:
 
     def __post_init__(self):
         n = len(self.atom_names)
-        assert len(self.product) == n and all(len(row) == n for row in self.product)
-        assert len(self.star) == n
-        for row in self.product:
-            for cell in row:
-                assert all(0 <= k < n for k in cell)
-        for i in range(n):
-            s = self.star[i]
-            assert 0 <= s < n and self.star[s] == i, "star must be an involution"
-        assert all(0 <= e < n for e in self.units)
-        assert all(self.star[e] == e for e in self.units), "units must be self-adjoint"
+        if len(self.product) != n or any(len(row) != n for row in self.product):
+            raise MalformedTable("product must have one row and one column per atom")
+        if len(self.star) != n:
+            raise MalformedTable("star must have one entry per atom")
+        if any(not 0 <= k < n for row in self.product for cell in row for k in cell):
+            raise MalformedTable("atom products must be sets of atom ids")
+        if any(not 0 <= s < n or self.star[s] != i for i, s in enumerate(self.star)):
+            raise MalformedTable("star must be an involution")
+        if any(not 0 <= e < n for e in self.units):
+            raise MalformedTable("units must be atom ids")
+        if any(self.star[e] != e for e in self.units):
+            raise MalformedTable("units must be self-adjoint")
 
     @property
     def n_atoms(self) -> int:
@@ -121,32 +124,6 @@ def mask_to_element(m: int) -> QElement:
 # axiom checking
 
 
-@dataclass(frozen=True)
-class AxiomResult:
-    name: str
-    passed: bool
-    counterexample: tuple[QElement, ...] | None = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    results: tuple[AxiomResult, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def result(self, name: str) -> AxiomResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def failing(self) -> tuple[AxiomResult, ...]:
-        return tuple(r for r in self.results if not r.passed)
-
-
 def _mask(atoms) -> int:
     m = 0
     for i in atoms:
@@ -188,7 +165,7 @@ def _first_associativity_failure(P, pid, cells) -> tuple[int, int, int] | None:
     return None
 
 
-def check_axioms(Q: AtomicQuantale) -> AxiomReport:
+def check_axioms(Q: AtomicQuantale) -> Report:
     """Check the quantale laws Q1-Q9 exactly, at any size, on atoms.
 
     Elements are subsets of atoms and a product is the union of its atom
@@ -199,9 +176,10 @@ def check_axioms(Q: AtomicQuantale) -> AxiomReport:
 
         x in y z  implies  z in y* x.
 
-    Q7 asks that star be an involution on atoms.  A failing law reports
-    its first failing atom tuple in lexicographic id order, as singleton
-    elements; each note says how many atom tuples were checked.
+    Q7 asks that star be an involution on atoms.  A failing law's
+    ``failures`` hold one entry, its first failing atom tuple in
+    lexicographic id order as singleton elements; each note says how
+    many atom tuples were checked.
     """
     n = Q.n_atoms
     star = Q.star
@@ -244,8 +222,8 @@ def check_axioms(Q: AtomicQuantale) -> AxiomReport:
     for name, note in notes.items():
         atoms = first.get(name)
         ce = None if atoms is None else tuple(frozenset((a,)) for a in atoms)
-        results.append(AxiomResult(name, atoms is None, ce, note))
-    return AxiomReport(tuple(results))
+        results.append(first_failure(name, ce, note))
+    return Report(tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ class CosetSpec:
     def __post_init__(self):
         for g in self.group_generators:
             _check_perm(g, self.degree)
-        assert self.subgroups, "a coset spec needs at least one subgroup"
+        if not self.subgroups:
+            raise ValueError("a coset spec needs at least one subgroup")
         for _, gens in self.subgroups:
             for g in gens:
                 _check_perm(g, self.degree)
@@ -205,8 +206,8 @@ def disjoint_union(actions) -> PermAction:
     if not actions:
         raise ValueError("disjoint_union of no actions")
     n_gens = len(actions[0].generators)
-    assert all(len(a.generators) == n_gens for a in actions), \
-        "all summands must list the same generators"
+    if any(len(a.generators) != n_gens for a in actions):
+        raise ValueError("all summands must list the same generators")
     total = sum(a.n_points for a in actions)
     gens = []
     for i in range(n_gens):

@@ -20,15 +20,12 @@ from conftest import DATA
 from hyperq import cli
 from hyperq.errors import SchemaError
 from hyperq.extnat import INF
-from hyperq.hypergroupoid import to_quantale
 from hyperq.io import (
     format_complex,
     format_element,
     load_input,
     parse_element,
     parse_input,
-    qmatrix_from_json,
-    qmatrix_to_json,
 )
 
 NAMES6 = tuple(f"a{i}" for i in range(6))
@@ -170,17 +167,6 @@ def test_format_complex():
     assert format_complex(0.5 + 0.25j) == "0.500000000000+0.250000000000j"
     # tiny negatives round to a clean zero, never -0
     assert format_complex(-1e-15 - 1e-15j) == "0.000000000000+0.000000000000j"
-
-
-def test_qmatrix_json_round_trip(real_pair):
-    from hyperq.qsets import qmatrix
-    Q = to_quantale(real_pair.hypergroupoid)
-    M = qmatrix([[{0, 3}, set()], [{1}, {2, 3}]])
-    obj = qmatrix_to_json(Q, M)
-    assert obj[0][0] == ["a0", "a3"]
-    assert qmatrix_from_json(Q, obj) == M
-    with pytest.raises(SchemaError):
-        qmatrix_from_json(Q, [[["zz"]]])
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +428,10 @@ def _drop_last_comp(obj):
     obj["comp"].pop()
 
 
+def _drop_last_mu(obj):
+    obj["mu"].pop()
+
+
 def _star_not_an_involution(obj):
     obj["arrows"][0]["star"] = "d"
 
@@ -459,6 +449,9 @@ def _right_array(obj):
     pytest.param(_drop_last_comp,
                  "invalid abstract input: missing composition set for (1,1)",
                  id="incomplete_comp"),
+    pytest.param(_drop_last_mu,
+                 "invalid abstract input: mu missing entry (1,1,1)",
+                 id="incomplete_mu"),
     pytest.param(_star_not_an_involution,
                  "invalid abstract input: star must be an involution",
                  id="star_not_an_involution"),
@@ -472,9 +465,25 @@ def test_malformed_abstract_inputs_exit_two(tmp_path, flags, change, message):
     change(obj)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(obj))
+    for command in ("check", "kms"):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hyperq.cli", command, str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, command
+        assert proc.stdout == "", command
+        assert proc.stderr == f"input error: {message}\n", command
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_coset_input_without_subgroups_exits_two(tmp_path, flags):
+    obj = json.loads((DATA / "s3_cosets.json").read_text())
+    obj["subgroups"] = []
+    path = tmp_path / "no_subgroups.json"
+    path.write_text(json.dumps(obj))
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "hyperq.cli", "check", str(path)],
+        [sys.executable, *flags, "-m", "hyperq.cli", "atoms", str(path)],
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"input error: {message}\n"
+    assert proc.stderr == ("input error: invalid coset input: "
+                           "a coset spec needs at least one subgroup\n")
