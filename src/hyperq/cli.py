@@ -11,14 +11,16 @@ on stderr) and 2 for schema or usage problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import chi, convolve_ext, eta, kms_check, mul, sigma, validate_weights
 from .errors import HyperqError, InfiniteCoefficient, SchemaError, ZeroWeight
-from .extnat import extnat_to_json
+from .extnat import INF, extnat_to_json
 from .hypergroupoid import check_hg_axioms, to_quantale
 from .io import InputSpec, format_complex, format_element, load_input, parse_element
 from .quantale import check_axioms, site
@@ -62,7 +64,46 @@ def _emit(lines: list[str]):
 
 
 def _emit_json(obj: dict):
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.
+
+    The top-level keys are written here and each value is encoded on its
+    own, then re-indented one level; encoded strings hold no raw newline,
+    so the re-indent touches only the layout.  A value given as an
+    iterator yields text already encoded that way, and is written chunk
+    by chunk, so a large array is never held whole."""
+    write = sys.stdout.write
+    if not obj:
+        write("{}\n")
+        return
+    sep = "{\n"
+    for key in sorted(obj):
+        write(f"{sep}  {encode_basestring_ascii(key)}: ")
+        value = obj[key]
+        if isinstance(value, Iterator):
+            sys.stdout.writelines(value)
+        else:
+            write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        sep = ",\n"
+    write("\n}\n")
+
+
+_MU_RECORD = '    {\n      "a": %s,\n      "g": %s,\n      "gp": %s,\n      "value": %s\n    }'
+
+
+def _mu_chunks(names, mu: dict, keys: list) -> Iterator[str]:
+    """The ``mu`` array of the algebra report, encoded for ``_emit_json``:
+    one record per key (a, g, g'), written from one template without
+    building the dicts."""
+    if not keys:
+        yield "[]"
+        return
+    enc = [encode_basestring_ascii(name) for name in names]
+    sep = "[\n"
+    for a, g, gp in keys:
+        v = mu[(a, g, gp)]
+        yield sep + _MU_RECORD % (enc[a], enc[g], enc[gp], '"inf"' if v is INF else v)
+        sep = ",\n"
+    yield "\n  ]"
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -141,9 +182,7 @@ def cmd_algebra(args) -> int:
             "weights": [{"id": r[0], "left": extnat_to_json(W.left[g]),
                          "right": extnat_to_json(W.right[g]), "chi": r[3]}
                         for g, r in enumerate(wrows)],
-            "mu": [{"a": H.arrow_names[a], "g": H.arrow_names[g],
-                    "gp": H.arrow_names[gp], "value": extnat_to_json(W.mu[(a, g, gp)])}
-                   for (a, g, gp) in mu_keys],
+            "mu": _mu_chunks(H.arrow_names, W.mu, mu_keys),
         }
         _emit_json(ctx.report("algebra", payload))
     else:
@@ -311,7 +350,9 @@ def cmd_site(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hyperq",
         description="Weighted hypergroupoid algebras from group actions.")

@@ -20,6 +20,7 @@ atoms absorbing it on each side (NotModular when resolution fails).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import or_
@@ -59,6 +60,8 @@ class Hypergroupoid:
                 raise MalformedTable(
                     f"identity arrow {i} of unit {e} must be a self-adjoint loop at {e}")
         for (b, a), cs in self.comp.items():
+            if not (0 <= b < na and 0 <= a < na):
+                raise MalformedTable(f"comp key ({b},{a}) is not a pair of arrow ids")
             if not self.composable(b, a):
                 raise MalformedTable(f"comp defined on non-composable pair ({b},{a})")
             if not cs:
@@ -68,10 +71,14 @@ class Hypergroupoid:
                     raise MalformedTable(
                         f"composite {c} of ({b},{a}) lands outside "
                         f"hom({self.src[a]},{self.tgt[b]})")
-        for b in range(na):
-            for a in range(na):
-                if self.composable(b, a) and (b, a) not in self.comp:
-                    raise MalformedTable(f"missing composition set for ({b},{a})")
+        # the keys are distinct composable pairs of arrow ids, so comp is
+        # complete exactly when it has one key per composable pair
+        by_src, by_tgt = Counter(self.src), Counter(self.tgt)
+        if len(self.comp) != sum(k * by_tgt[u] for u, k in by_src.items()):
+            for b in range(na):
+                for a in range(na):
+                    if self.composable(b, a) and (b, a) not in self.comp:
+                        raise MalformedTable(f"missing composition set for ({b},{a})")
 
     @property
     def n_units(self) -> int:

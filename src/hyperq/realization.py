@@ -58,7 +58,7 @@ def identity_perm(degree: int) -> Perm:
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composite p after q: (p q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_inv(p: Perm) -> Perm:

@@ -17,7 +17,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -70,16 +73,41 @@ def test_golden_covers_every_fixture_command_and_format():
     assert len(CALLS) == len(_fixtures()) * len(COMMANDS) * 2
 
 
+def _mismatch(call: dict):
+    """None when replaying the call gives the recorded result, else a
+    message showing the differing output."""
+    got = _replay({k: call[k] for k in ("file", "command", "format", "extra")})
+    stdout = got.pop("stdout")
+    if got == call:
+        return None
+    return (f"{call['command']} {call['format']} {call['file']}: "
+            f"expected exit {call['exit']}, stderr {call['stderr']!r}, "
+            f"stdout sha256 {call['stdout_sha256']}\n"
+            f"got exit {got['exit']}, stderr {got['stderr']!r}, "
+            f"stdout sha256 {got['stdout_sha256']}:\n{stdout}")
+
+
 @pytest.mark.parametrize("call", CALLS,
                          ids=[f"{c['command']}-{c['format']}-{c['file']}" for c in CALLS])
 def test_cli_output_matches_golden(call):
-    got = _replay({k: call[k] for k in ("file", "command", "format", "extra")})
-    stdout = got.pop("stdout")
-    if got != call:
-        pytest.fail(f"expected exit {call['exit']}, stderr {call['stderr']!r}, "
-                    f"stdout sha256 {call['stdout_sha256']}\n"
-                    f"got exit {got['exit']}, stderr {got['stderr']!r}, "
-                    f"stdout sha256 {got['stdout_sha256']}:\n{stdout}")
+    message = _mismatch(call)
+    if message is not None:
+        pytest.fail(message)
+
+
+def test_golden_replay_without_asserts():
+    # the same replay in a fresh interpreter under -O, where assert
+    # statements are stripped, so no recorded byte may depend on one
+    script = ("import sys, test_golden\n"
+              "if not sys.flags.optimize: sys.exit('not run under -O')\n"
+              "bad = [m for c in test_golden.CALLS if (m := test_golden._mismatch(c))]\n"
+              "print(len(test_golden.CALLS), *bad, sep='\\n')\n")
+    here = pathlib.Path(__file__).parent
+    path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(CALLS)}\n", proc.stdout
 
 
 if __name__ == "__main__":

@@ -6,13 +6,14 @@ but composes by left projection, so the involution exchange law fails;
 it pins down the checker's counterexample reporting.
 """
 
+import dataclasses
 import gc
 import weakref
 
 import pytest
 
 from hyperq.algebra import mu_semisimple
-from hyperq.errors import NotModular
+from hyperq.errors import MalformedTable, NotModular
 from hyperq.fixtures import (
     delta_quantale,
     delta_quantale_mutated,
@@ -121,6 +122,20 @@ def test_composable_pair_needs_nonempty_product():
     )
     with pytest.raises(NotModular):
         from_quantale(Q)
+
+
+@pytest.mark.parametrize("drop, extra, message", [
+    ([(5, 2), (3, 4)], {}, "missing composition set for (3,4)"),
+    ([(3, 4)], {(-1, 4): frozenset((0,))}, "comp key (-1,4) is not a pair of arrow ids"),
+    ([(3, 4)], {(3, 6): frozenset((0,))}, "comp key (3,6) is not a pair of arrow ids"),
+])
+def test_composition_table_must_cover_every_composable_pair(real_regular, drop, extra, message):
+    # the key count alone finds a gap; a stray key must not make up for one
+    H = real_regular.hypergroupoid
+    comp = {k: v for k, v in H.comp.items() if k not in drop} | extra
+    with pytest.raises(MalformedTable) as info:
+        dataclasses.replace(H, comp=comp)
+    assert str(info.value) == message
 
 
 def test_composition_star_reversal(all_realized):
