@@ -14,8 +14,6 @@ of size two, so d is not simple.
 
 from fractions import Fraction
 
-import numpy as np
-
 from hyperq.algebra import mul
 from hyperq.fixtures import s3_coset_action
 from hyperq.io import format_element
@@ -35,8 +33,11 @@ print("[d][d] =", format_element(mul(W, d, d), names))
 
 # the same computation with plain integer matrices: square the 0/1
 # incidence matrix of the off-diagonal orbit and count paths
-M = (real.membership == 1).astype(int)
+# (membership is one flat list, the orbit of (x, y) at x*n + y)
+n = real.n_points
+M = [[int(real.membership[x * n + y] == 1) for y in range(n)] for x in range(n)]
 print()
 print("incidence matrix of d, squared:")
-print(M @ M)
+for x in range(n):
+    print([sum(M[x][t] * M[t][y] for t in range(n)) for y in range(n)])
 print("which is 2*I + 1*M: the relation again, entrywise.")

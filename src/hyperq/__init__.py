@@ -66,7 +66,6 @@ from .algebra import (
     adjoint_check,
     chi,
     convolve_ext,
-    decompose_matrix,
     derived_weights,
     e_basis,
     eta,
@@ -75,7 +74,6 @@ from .algebra import (
     left_finite_witness,
     mu_semisimple,
     mul,
-    regular_rep,
     sigma,
     sigma_imag,
     star,

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .checks import Check, Report
 from .errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from .extnat import INF, ExtNat, check_extnat, is_finite
@@ -66,14 +64,22 @@ class WeightedHypergroupoid:
             raise MalformedTable("left and right must have one weight per arrow")
         for v in self.left + self.right:
             check_extnat(v)
+        comp = H.comp
         for (a, g, gp), v in self.mu.items():
-            check_extnat(v)
-            if a not in H.compose(g, gp):
+            # a plain non-negative int is valid; bools and the rest are
+            # left to check_extnat
+            if v.__class__ is not int or v < 0:
+                check_extnat(v)
+            cs = comp.get((g, gp))
+            if cs is None or a not in cs:
                 raise MalformedTable(f"mu entry ({a},{g},{gp}) outside the composition table")
-        for (g, gp), cs in H.comp.items():
-            for a in cs:
-                if (a, g, gp) not in self.mu:
-                    raise MalformedTable(f"mu missing entry ({a},{g},{gp})")
+        # every mu key lies in comp, so mu is complete exactly when it has
+        # one entry per composite
+        if len(self.mu) != sum(map(len, comp.values())):
+            for (g, gp), cs in comp.items():
+                for a in cs:
+                    if (a, g, gp) not in self.mu:
+                        raise MalformedTable(f"mu missing entry ({a},{g},{gp})")
 
 
 def derived_weights(H: Hypergroupoid, mu) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
@@ -238,7 +244,8 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
     those pairs are evaluated, in (q, q') order; every other pair holds
     as 0 = 0.  ``checked`` counts all pairs decided.  Pairs whose q' has
     no chi are skipped and not counted; those arrows are listed in
-    ``chi_undefined``."""
+    ``chi_undefined``.  An infinite identity entry at a pair that is
+    evaluated raises InfiniteCoefficient naming the first such pair."""
     H = W.base
     units = set(H.unit_arrow)
     ratio = {}
@@ -254,10 +261,17 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
                          if pair[1] in ratio})
     # every candidate is evaluated, past the failure cap too, so an
     # infinite entry raises at the same pair as it would in a full scan
+    names = H.arrow_names
     failures = []
     for q, qp in candidates:
-        lhs = mass.get((q, qp), 0) / ratio[qp]
-        rhs = Fraction(mass.get((qp, q), 0))
+        m, mp = mass.get((q, qp), 0), mass.get((qp, q), 0)
+        if m is INF or mp is INF:
+            x, y = (q, qp) if m is INF else (qp, q)
+            raise InfiniteCoefficient(
+                f"kms pair ({names[q]},{names[qp]}) cannot be evaluated: "
+                f"the identity mu entry of ({names[x]},{names[y]}) is infinite")
+        lhs = m / ratio[qp]
+        rhs = Fraction(mp)
         if lhs != rhs and len(failures) < _FAILURE_CAP:
             failures.append((q, qp, lhs, rhs))
     undefined = tuple(g for g in range(H.n_arrows) if g not in ratio)
@@ -286,36 +300,7 @@ def convolve_ext(W: WeightedHypergroupoid, f: dict[int, ExtNat], h: dict[int, Ex
 
 
 # ---------------------------------------------------------------------------
-# the regular representation (realized tables only)
-
-
-def regular_rep(real, u: Element) -> np.ndarray:
-    """Matrix of an element acting on functions on the points: [g] maps
-    to its 0/1 incidence matrix.  Exact object dtype; use ``.dot`` for
-    products."""
-    n = real.n_points
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for g, c in u.items():
-        if c == 0:
-            continue
-        out[real.matrix(g)] += c
-    return out
-
-
-def decompose_matrix(real, M: np.ndarray) -> Element:
-    """Inverse of regular_rep on its image: read coefficients at orbit
-    representatives and verify the matrix is constant on orbits."""
-    out: dict[int, object] = {}
-    for g, (x, y) in enumerate(real.representative):
-        c = M[x, y]
-        if c != 0:
-            out[g] = c
-    check = np.full(M.shape, Fraction(0), dtype=object)
-    for g, c in out.items():
-        check[real.matrix(g)] += c
-    if not (check == M).all():
-        raise ValueError("matrix is not constant on pair orbits")
-    return out
+# the point pairing (realized tables only)
 
 
 def adjoint_check(real) -> Report:
@@ -329,21 +314,21 @@ def adjoint_check(real) -> Report:
         <v, v' [g]> = chi(g) <v [g*], v'>
 
     must hold for every arrow.  chi comes from the structure constant
-    table; both pairings are recounted directly from the incidence
-    matrices at every point, which also rechecks that v'[g] is constant
+    table; both pairings are recounted directly from the pair-orbit
+    labels at every point, which also rechecks that v'[g] is constant
     on the source orbit.  The report holds an "orbit-constant" and an
     "adjoint" check."""
     H = real.hypergroupoid
+    n, mem = real.n_points, real.membership
     results = []
     failures_const = []
     failures_adj = []
     checked = 0
     for g in range(H.n_arrows):
-        mat = real.matrix(g)
         src_pts = real.unit_points[H.src[g]]
         tgt_pts = real.unit_points[H.tgt[g]]
-        col_counts = {int(mat[:, p].sum()) for p in src_pts}
-        row_counts = {int(mat[q, :].sum()) for q in tgt_pts}
+        col_counts = {mem[p::n].count(g) for p in src_pts}
+        row_counts = {mem[q * n:(q + 1) * n].count(g) for q in tgt_pts}
         if len(col_counts) != 1 or len(row_counts) != 1:
             failures_const.append((g, tuple(sorted(col_counts)), tuple(sorted(row_counts))))
             continue

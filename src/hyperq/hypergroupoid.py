@@ -45,35 +45,39 @@ class Hypergroupoid:
         # explicit raises, not asserts: check_hg_axioms indexes comp and
         # aligns rows on composite typing, so it relies on these under -O
         nu, na = len(self.unit_names), len(self.arrow_names)
-        if not len(self.src) == len(self.tgt) == len(self.star) == na:
+        src, tgt, star = self.src, self.tgt, self.star
+        if not len(src) == len(tgt) == len(star) == na:
             raise MalformedTable("src, tgt and star must have one entry per arrow")
         if len(self.unit_arrow) != nu:
             raise MalformedTable("unit_arrow must have one entry per unit")
+        hom: dict[tuple[int, int], set[int]] = {}
         for g in range(na):
-            s = self.star[g]
-            if self.star[s] != g:
+            s = star[g]
+            if star[s] != g:
                 raise MalformedTable("star must be an involution")
-            if self.src[s] != self.tgt[g] or self.tgt[s] != self.src[g]:
+            if src[s] != tgt[g] or tgt[s] != src[g]:
                 raise MalformedTable(f"star of arrow {g} must swap its source and target")
+            hom.setdefault((src[g], tgt[g]), set()).add(g)
         for e, i in enumerate(self.unit_arrow):
-            if self.src[i] != e or self.tgt[i] != e or self.star[i] != i:
+            if src[i] != e or tgt[i] != e or star[i] != i:
                 raise MalformedTable(
                     f"identity arrow {i} of unit {e} must be a self-adjoint loop at {e}")
+        untyped: set[int] = set()
         for (b, a), cs in self.comp.items():
             if not (0 <= b < na and 0 <= a < na):
                 raise MalformedTable(f"comp key ({b},{a}) is not a pair of arrow ids")
-            if not self.composable(b, a):
+            if src[b] != tgt[a]:
                 raise MalformedTable(f"comp defined on non-composable pair ({b},{a})")
             if not cs:
                 raise MalformedTable(f"composition set of ({b},{a}) is empty")
-            for c in cs:
-                if self.src[c] != self.src[a] or self.tgt[c] != self.tgt[b]:
-                    raise MalformedTable(
-                        f"composite {c} of ({b},{a}) lands outside "
-                        f"hom({self.src[a]},{self.tgt[b]})")
+            typed = hom.get((src[a], tgt[b]), untyped)
+            if not cs <= typed:
+                c = next(c for c in cs if c not in typed)
+                raise MalformedTable(
+                    f"composite {c} of ({b},{a}) lands outside hom({src[a]},{tgt[b]})")
         # the keys are distinct composable pairs of arrow ids, so comp is
         # complete exactly when it has one key per composable pair
-        by_src, by_tgt = Counter(self.src), Counter(self.tgt)
+        by_src, by_tgt = Counter(src), Counter(tgt)
         if len(self.comp) != sum(k * by_tgt[u] for u, k in by_src.items()):
             for b in range(na):
                 for a in range(na):

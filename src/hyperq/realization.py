@@ -19,11 +19,11 @@ Structure constants are pair counts
 
 independent of the representative: the intersection numbers of the
 coherent configuration formed by the pair orbits (D. G. Higman,
-*Coherent configurations*, 1975).  They are read off as one integer
-histogram: scanning t along the row of x and the column of y of the
-orbit-label matrix yields every pair (g, g') whose composite meets a,
-with its count, for all arrows a at once.  Left and right weights of an
-arrow are its column and row counts:
+*Coherent configurations*, 1975).  The orbit labels live in one flat
+list indexed x*n + y, and the constants are read off as one histogram
+per arrow a: scanning t along the row of x and the column of y yields
+every pair (g, g') whose composite meets a, with its count.  Left and
+right weights of an arrow are its column and row counts:
 
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
@@ -34,10 +34,9 @@ vectors as a weighted hypergroupoid ready for the convolution algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
-
-import numpy as np
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from operator import add, itemgetter
 
 from .algebra import WeightedHypergroupoid, derived_weights
 from .errors import HyperqError, OrderBoundExceeded
@@ -152,51 +151,29 @@ class CosetSpec:
                 _check_perm(g, self.degree)
 
 
-def coset_partition(elements: list[Perm], k_gens) -> tuple[list[list[int]], list[int]]:
+def coset_partition(elements: list[Perm], index: dict[Perm, int],
+                    k_elements) -> tuple[list[list[int]], list[int]]:
     """Left cosets gK of the listed group, as a partition of element indexes.
 
-    Classes are merged along right multiplication by the generators of K,
-    then ordered by least member.  Returns (classes, membership)."""
-    index = {g: i for i, g in enumerate(elements)}
-    parent = list(range(len(elements)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    ``index`` maps each element to its position.  g sweeps the elements
+    in list order, and each g not yet placed opens the class of the
+    indexes of g k over all k in K, sorted; so g is its class's least
+    member and classes come out ordered by it.  Returns (classes,
+    membership)."""
+    membership = [-1] * len(elements)
+    classes: list[list[int]] = []
     for i, g in enumerate(elements):
-        for k in k_gens:
-            j = index[perm_mul(g, tuple(k))]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    buckets: dict[int, list[int]] = {}
-    for i in range(len(elements)):
-        buckets.setdefault(find(i), []).append(i)
-    classes = [sorted(v) for _, v in sorted(buckets.items())]
-    membership = [0] * len(elements)
-    for c, members in enumerate(classes):
-        for i in members:
-            membership[i] = c
+        if membership[i] < 0:
+            coset = sorted([index[perm_mul(g, k)] for k in k_elements])
+            for j in coset:
+                membership[j] = len(classes)
+            classes.append(coset)
     return classes, membership
 
 
 def coset_space(spec: CosetSpec, k: int, order_bound: int = GROUP_ORDER_BOUND) -> PermAction:
     """The action of the spec's generators on left cosets of subgroup k."""
-    name, k_gens = spec.subgroups[k]
-    elements = enumerate_group(spec.group_generators, spec.degree, order_bound)
-    index = {g: i for i, g in enumerate(elements)}
-    for g in k_gens:
-        if tuple(g) not in index:
-            raise ValueError(f"subgroup {name!r} generator outside the group")
-    classes, membership = coset_partition(elements, k_gens)
-    gens = []
-    for s in spec.group_generators:
-        # left multiplication s(gK) = (sg)K
-        gens.append(tuple(membership[index[perm_mul(s, elements[c[0]])]] for c in classes))
-    return PermAction(n_points=len(classes), generators=tuple(gens))
+    return coset_union_action(replace(spec, subgroups=(spec.subgroups[k],)), order_bound)
 
 
 def disjoint_union(actions) -> PermAction:
@@ -221,9 +198,22 @@ def disjoint_union(actions) -> PermAction:
 
 
 def coset_union_action(spec: CosetSpec, order_bound: int = GROUP_ORDER_BOUND) -> PermAction:
-    """Disjoint union of the coset actions of every listed subgroup."""
-    return disjoint_union(
-        coset_space(spec, k, order_bound) for k in range(len(spec.subgroups)))
+    """Disjoint union of the coset actions of every listed subgroup; the
+    group and its index are built once for all of them."""
+    elements = enumerate_group(spec.group_generators, spec.degree, order_bound)
+    index = {g: i for i, g in enumerate(elements)}
+    actions = []
+    for name, k_gens in spec.subgroups:
+        for g in k_gens:
+            if tuple(g) not in index:
+                raise ValueError(f"subgroup {name!r} generator outside the group")
+        classes, membership = coset_partition(
+            elements, index, enumerate_group(k_gens, spec.degree, order_bound))
+        # left multiplication s(gK) = (sg)K
+        gens = tuple(tuple(membership[index[perm_mul(s, elements[c[0]])]] for c in classes)
+                     for s in spec.group_generators)
+        actions.append(PermAction(n_points=len(classes), generators=gens))
+    return disjoint_union(actions)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +224,16 @@ def coset_union_action(spec: CosetSpec, order_bound: int = GROUP_ORDER_BOUND) ->
 class ConcreteRealization:
     """Pair-orbit data of an action, with the assembled hypergroupoid.
 
-    membership[x, y] is the arrow id of the orbit through (x, y);
-    representative[g] is the least pair of orbit g in lexicographic
-    order; products caches, for every composable pair (b, a), the
-    composite orbits with their pair counts."""
+    membership[x * n_points + y] is the arrow id of the orbit through
+    (x, y); representative[g] is the least pair of orbit g in
+    lexicographic order; products caches, for every composable pair
+    (b, a), the composite orbits with their pair counts."""
 
     action: PermAction
     hypergroupoid: Hypergroupoid
     point_orbit: tuple[int, ...]
     unit_points: tuple[tuple[int, ...], ...]
-    membership: np.ndarray = field(repr=False)
+    membership: list[int] = field(repr=False)
     representative: tuple[tuple[int, int], ...]
     orbit_size: tuple[int, ...]
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(repr=False)
@@ -255,10 +245,6 @@ class ConcreteRealization:
     @property
     def n_arrows(self) -> int:
         return len(self.representative)
-
-    def matrix(self, g: int) -> np.ndarray:
-        """0/1 incidence matrix of arrow g."""
-        return self.membership == g
 
 
 def _point_orbits(action: PermAction) -> tuple[list[int], list[list[int]]]:
@@ -291,42 +277,45 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     n = action.n_points
     point_orbit, unit_points = _point_orbits(action)
 
-    membership = np.full((n, n), -1, dtype=np.int64)
+    # each generator s with its rows s[x] * n, so (s[x], s[y]) is at
+    # row[x] + s[y]; the next unlabelled pair in row-major order opens
+    # the next orbit
+    moves = [(s, [sx * n for sx in s]) for s in action.generators]
+    membership = [-1] * (n * n)
     reps: list[tuple[int, int]] = []
     sizes: list[int] = []
-    for x0 in range(n):
-        for y0 in range(n):
-            if membership[x0, y0] >= 0:
-                continue
-            gid = len(reps)
-            reps.append((x0, y0))
-            membership[x0, y0] = gid
-            count = 1
-            frontier = [(x0, y0)]
-            while frontier:
-                nxt = []
-                for (x, y) in frontier:
-                    for s in action.generators:
-                        p = (s[x], s[y])
-                        if membership[p] < 0:
-                            membership[p] = gid
-                            count += 1
-                            nxt.append(p)
-                frontier = nxt
-            sizes.append(count)
+    start = 0
+    while True:
+        try:
+            start = membership.index(-1, start)
+        except ValueError:
+            break
+        gid = len(reps)
+        frontier = [divmod(start, n)]
+        reps.append(frontier[0])
+        membership[start] = gid
+        count = 1
+        while frontier:
+            nxt = []
+            for x, y in frontier:
+                for s, row in moves:
+                    i = row[x] + s[y]
+                    if membership[i] < 0:
+                        membership[i] = gid
+                        nxt.append((s[x], s[y]))
+            count += len(nxt)
+            frontier = nxt
+        sizes.append(count)
 
-    n_arrows = len(reps)
     src = tuple(point_orbit[y] for (_, y) in reps)
     tgt = tuple(point_orbit[x] for (x, _) in reps)
-    star = tuple(int(membership[y, x]) for (x, y) in reps)
-    unit_arrow = tuple(int(membership[pts[0], pts[0]]) for pts in unit_points)
-
-    products = _pair_products(membership, reps, src, n_arrows)
-    comp = {key: frozenset(c for c, _ in val) for key, val in products.items()}
+    star = tuple(membership[y * n + x] for (x, y) in reps)
+    unit_arrow = tuple(membership[pts[0] * (n + 1)] for pts in unit_points)
+    products, comp = _pair_products(membership, n, reps, src)
 
     H = Hypergroupoid(
         unit_names=tuple(f"u{k}" for k in range(len(unit_points))),
-        arrow_names=tuple(f"a{g}" for g in range(n_arrows)),
+        arrow_names=tuple(f"a{g}" for g in range(len(reps))),
         src=src,
         tgt=tgt,
         star=star,
@@ -345,34 +334,50 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     )
 
 
-def _pair_products(membership, reps, src, n_arrows):
-    """Intersection numbers of the pair orbits, as one histogram.
+def _pair_products(membership, n, reps, src):
+    """Intersection numbers of the pair orbits, and the composition sets.
 
     For an arrow c with representative (x, y), the middle points t give
-    the pairs (membership[x, t], membership[t, y]) = (b, a), and the
-    number of t giving (b, a) is <c | b, a>, the intersection number
+    the pairs (membership[x*n + t], membership[t*n + y]) = (b, a), and
+    the number of t giving (b, a) is <c | b, a>, the intersection number
     p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
-    configurations*, 1975).  All arrows are counted at once by one
-    ``np.unique`` over the integer key (rank of b, a, c), where b is
-    ranked by (src[b], b); ``np.ravel_multi_index`` raises rather than
-    wraps, so keys are exact for fewer than 2**21 arrows.  Keys come out
-    sorted, so products lists pairs by src[b], then b, then a, each
-    with its composites in increasing c."""
-    k = n_arrows
-    order = np.argsort(src, kind="stable")
-    rank = np.argsort(order)
-    xs = [x for x, _ in reps]
-    ys = [y for _, y in reps]
-    # row c of each block is the middle-point scan of arrow c
-    keys, counts = np.unique(
-        np.ravel_multi_index(
-            (rank[membership[xs, :]], membership[:, ys].T, np.arange(k)[:, None]),
-            (k, k, k)),
-        return_counts=True)
-    rb, a, c = np.unravel_index(keys, (k, k, k))
-    rows = zip(order[rb].tolist(), a.tolist(), c.tolist(), counts.tolist())
-    return {pair: tuple((ci, v) for _, _, ci, v in group)
-            for pair, group in groupby(rows, key=lambda r: r[:2])}
+    configurations*, 1975).  Each arrow's pairs are counted by one
+    ``Counter`` over the integer keys rank(b)*k + a, where b is ranked by
+    (src[b], b), and each count lands in the bucket of its key, arrows
+    taken in increasing c.  Reading the k*k buckets in key order lists
+    the pairs by src[b], then b, then a, each with its composites in
+    increasing c, with no sort.  Returns (products, comp); equal buckets
+    share their tuple and their frozenset."""
+    k = len(reps)
+    order = sorted(range(k), key=src.__getitem__)
+    key_of = [0] * k
+    for r, b in enumerate(order):
+        key_of[b] = r * k
+    rows: dict[int, list[int]] = {}
+    buckets: list[list[tuple[int, int]] | None] = [None] * (k * k)
+    for c, (x, y) in enumerate(reps):
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = [key_of[b] for b in membership[x * n:(x + 1) * n]]
+        for key, v in Counter(map(add, row, membership[y::n])).items():
+            bucket = buckets[key]
+            if bucket is None:
+                buckets[key] = [(c, v)]
+            else:
+                bucket.append((c, v))
+    # equal buckets share one products tuple and one composition set
+    products = {}
+    comp = {}
+    shared: dict[tuple, tuple] = {}
+    for r, b in enumerate(order):
+        for a, bucket in enumerate(buckets[r * k:(r + 1) * k]):
+            if bucket is not None:
+                pairs = tuple(bucket)
+                value = shared.get(pairs)
+                if value is None:
+                    value = shared[pairs] = (pairs, frozenset(map(itemgetter(0), pairs)))
+                products[b, a], comp[b, a] = value
+    return products, comp
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +387,18 @@ def _pair_products(membership, reps, src, n_arrows):
 def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = False) -> int:
     """<a | g, g'>: pair count through the stored representative of a.
 
-    With verify=True the count is repeated at another orbit point, which
-    must agree (the count is a property of the orbit, not the pair);
-    HyperqError is raised if it does not."""
-    x, y = real.representative[a]
-    row = real.membership[x, :] == g
-    col = real.membership[:, y] == gp
-    value = int(np.count_nonzero(row & col))
+    With verify=True the count is repeated at another orbit point (the
+    second in row-major order), which must agree (the count is a
+    property of the orbit, not the pair); HyperqError is raised if it
+    does not."""
+    n, mem = real.n_points, real.membership
+
+    def count(x, y):
+        return Counter(zip(mem[x * n:(x + 1) * n], mem[y::n]))[g, gp]
+
+    value = count(*real.representative[a])
     if verify and real.orbit_size[a] > 1:
-        pts = np.argwhere(real.membership == a)
-        x2, y2 = map(int, pts[1])
-        row2 = real.membership[x2, :] == g
-        col2 = real.membership[:, y2] == gp
-        other = int(np.count_nonzero(row2 & col2))
+        other = count(*divmod(mem.index(a, mem.index(a) + 1), n))
         if other != value:
             raise HyperqError(
                 f"structure constant depends on representative: {value} vs {other}")

@@ -17,7 +17,6 @@ from hyperq.algebra import (
     adjoint_check,
     chi,
     convolve_ext,
-    decompose_matrix,
     e_basis,
     eta,
     is_locally_finite,
@@ -25,19 +24,19 @@ from hyperq.algebra import (
     left_finite_witness,
     mu_semisimple,
     mul,
-    regular_rep,
     sigma,
     sigma_imag,
     star,
     validate_weights,
 )
-from hyperq.errors import InfiniteCoefficient, NotSemisimple, ZeroWeight
+from hyperq.errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from hyperq.extnat import INF
 from hyperq.hypergroupoid import from_quantale, to_quantale
 from hyperq.io import load_input
 from hyperq.realization import count_mu, enumerate_group, perm_inv, perm_mul
 
 from conftest import DATA
+from numpy_oracles import decompose_matrix, regular_rep
 
 
 def _random_elements(W, count, seed, denominators=True):
@@ -87,6 +86,26 @@ def test_sum_identity_catches_a_mutated_count(w_cosets):
     for name in ("left-def", "right-def", "star-left", "star-mu",
                  "murel-1", "murel-2"):
         assert report.result(name).passed
+
+
+@pytest.mark.parametrize("change, error, message", [
+    pytest.param({(1, 0, 0): 1}, MalformedTable,
+                 "mu entry (1,0,0) outside the composition table", id="outside_comp"),
+    pytest.param({(0, 1, 0): 1}, MalformedTable,
+                 "mu entry (0,1,0) outside the composition table", id="not_a_composite"),
+    pytest.param({(1, 1, 1): True}, TypeError, "not an extended natural: True", id="bool"),
+    pytest.param({(1, 1, 1): 1.0}, TypeError, "not an extended natural: 1.0", id="float"),
+    pytest.param({(1, 1, 1): -1}, ValueError,
+                 "extended naturals are nonnegative, got -1", id="negative"),
+    pytest.param({(0, 1, 1): None}, MalformedTable, "mu missing entry (0,1,1)", id="missing"),
+])
+def test_malformed_mu_tables_are_refused(w_cosets, change, error, message):
+    mu = {**w_cosets.mu, **change}
+    mu = {key: v for key, v in mu.items() if v is not None}
+    with pytest.raises(error) as info:
+        WeightedHypergroupoid(base=w_cosets.base, mu=mu,
+                              left=w_cosets.left, right=w_cosets.right)
+    assert str(info.value) == message
 
 
 def test_bad_mu_fixture_fails_only_the_sum_identity():
@@ -161,7 +180,7 @@ def test_group_law(real_regular, w_regular):
     for a in range(6):
         for b in range(6):
             product = perm_mul(constant(b), constant(a))
-            expected = int(real_regular.membership[index[product], 0])
+            expected = real_regular.membership[index[product] * 6]
             assert mul(w_regular, {a: 1}, {b: 1}) == {expected: 1}
 
 

@@ -138,6 +138,20 @@ def test_composition_table_must_cover_every_composable_pair(real_regular, drop, 
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("composite, message", [
+    (12, "composite 12 of (0,0) lands outside hom(0,0)"),
+    (14, "composite 14 of (0,0) lands outside hom(0,0)"),
+    (-1, "composite -1 of (0,0) lands outside hom(0,0)"),
+])
+def test_composites_must_be_typed_arrows(real_mixed, composite, message):
+    # 12 is the identity of the other unit; 14 and -1 are not arrow ids
+    H = real_mixed.hypergroupoid
+    comp = {**H.comp, (0, 0): frozenset((0, composite))}
+    with pytest.raises(MalformedTable) as info:
+        dataclasses.replace(H, comp=comp)
+    assert str(info.value) == message
+
+
 def test_composition_star_reversal(all_realized):
     # comp(b, a)* = comp(a*, b*) elementwise
     for real in all_realized.values():
@@ -219,10 +233,11 @@ def _quotient_arrow_map(real_regular, real_cosets):
     """Arrow map of the projection onto the coset block: an arrow's
     representative pair maps to the orbit of its cosets."""
     elements = enumerate_group(s3_generators(), 3)
-    _, cls = coset_partition(elements, (from_cycles(3, (0, 1)),))
+    index = {g: i for i, g in enumerate(elements)}
+    _, cls = coset_partition(elements, index, enumerate_group((from_cycles(3, (0, 1)),), 3))
     out = []
     for (x, y) in real_regular.representative:
-        out.append(int(real_cosets.membership[cls[x], cls[y]]))
+        out.append(real_cosets.membership[cls[x] * 3 + cls[y]])
     return tuple(out)
 
 
@@ -238,8 +253,7 @@ def test_collapsing_the_other_way_fails(real_regular, real_cosets):
     # send d to a transposition arrow: dd covers the unit and d, but the
     # image only reaches the unit
     elements = enumerate_group(s3_generators(), 3)
-    t_arrow = int(real_regular.membership[
-        elements.index(from_cycles(3, (0, 1))), 0])
+    t_arrow = real_regular.membership[elements.index(from_cycles(3, (0, 1))) * 6]
     report = check_morphism(real_cosets.hypergroupoid,
                             real_regular.hypergroupoid, (0,), (0, t_arrow))
     assert report.typing_ok and report.unit_ok

@@ -487,3 +487,40 @@ def test_coset_input_without_subgroups_exits_two(tmp_path, flags):
     assert proc.stdout == ""
     assert proc.stderr == ("input error: invalid coset input: "
                            "a coset spec needs at least one subgroup\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_kms_with_an_infinite_identity_entry_exits_two(tmp_path, flags, fmt):
+    # <1|d,d> = inf with chi(d) = 3/3 defined: the pair (d, d) is
+    # evaluated and its identity mass is infinite
+    obj = json.loads((DATA / "kms_bad.json").read_text())
+    obj["mu"] = [rec for rec in obj["mu"] if (rec["a"], rec["g"], rec["gp"]) != ("1", "d", "d")]
+    obj["mu"].append({"a": "1", "g": "d", "gp": "d", "value": "inf"})
+    obj["right"] = {"d": 3}
+    path = tmp_path / "kms_inf.json"
+    path.write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "hyperq.cli", "kms", str(path), "--format", fmt],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: kms pair (d,d) cannot be evaluated: "
+                           "the identity mu entry of (d,d) is infinite\n")
+
+
+_NO_NUMPY = """
+import contextlib, io, sys
+from hyperq.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["algebra", sys.argv[1], "--format", "json"])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_the_command_line_runs_without_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, str(DATA / "s3_mixed.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"

@@ -4,9 +4,10 @@
 arrow pair (q, q') with chi(q') defined, pair by pair in (q, q') order,
 summing the identity-arrow entries of comp(q, q') afresh each time.
 ``kms_check`` decides only the pairs that the identity mu entries can
-make fail; it must return the same report, or raise the same error, on
-the fixtures, the realized tables, seeded coset tables and seeded
-mutants that change identity mu values or weights.
+make fail; it must return the same report, or raise the same
+``InfiniteCoefficient`` naming the first pair with an infinite identity
+entry, on the fixtures, the realized tables, seeded coset tables and
+seeded mutants that change identity mu values or weights.
 """
 
 import dataclasses
@@ -43,14 +44,21 @@ def kms_oracle(W):
             return 0
         return sum(W.mu[(a, x, y)] for a in H.comp[(x, y)] if a in units)
 
+    names = H.arrow_names
     failures = []
     failing = 0
     checked = 0
     for q in range(H.n_arrows):
         for qp, chi_qp in ratio.items():
             checked += 1
-            lhs = unit_mass(q, qp) / chi_qp
-            rhs = Fraction(unit_mass(qp, q))
+            forward, backward = unit_mass(q, qp), unit_mass(qp, q)
+            for x, y, mass in ((q, qp, forward), (qp, q, backward)):
+                if mass is INF:
+                    raise InfiniteCoefficient(
+                        f"kms pair ({names[q]},{names[qp]}) cannot be evaluated: "
+                        f"the identity mu entry of ({names[x]},{names[y]}) is infinite")
+            lhs = forward / chi_qp
+            rhs = Fraction(backward)
             if lhs != rhs:
                 failing += 1
                 if len(failures) < CAP:
@@ -64,8 +72,8 @@ def _assert_agrees(W):
     Returns the oracle's (report, failing), or None when both raise."""
     try:
         expected = kms_oracle(W)
-    except TypeError as exc:
-        with pytest.raises(TypeError) as info:
+    except InfiniteCoefficient as exc:
+        with pytest.raises(InfiniteCoefficient) as info:
             kms_check(W)
         assert str(info.value) == str(exc)
         return None

@@ -30,6 +30,7 @@ from hyperq.quantale import (
     top,
     unit_element,
 )
+from numpy_oracles import matrix, membership_matrix
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +73,12 @@ def _bool_compose_oracle(real, a, b):
     ma = np.zeros((n, n), dtype=bool)
     mb = np.zeros((n, n), dtype=bool)
     for g in a:
-        ma |= real.matrix(g)
+        ma |= matrix(real, g)
     for g in b:
-        mb |= real.matrix(g)
+        mb |= matrix(real, g)
     prod = ma.astype(int) @ mb.astype(int) > 0
-    return frozenset(int(real.membership[x, y])
-                     for x, y in np.argwhere(prod))
+    labels = membership_matrix(real)
+    return frozenset(int(labels[x, y]) for x, y in np.argwhere(prod))
 
 
 def test_relation_composition_matches_boolean_matmul(real_pair, q_pair):

@@ -1,10 +1,11 @@
 """Group enumeration, coset actions, pair orbits and exact counting.
 
 The structure constants carry the whole algebra, so they are checked
-four ways here: the per-triple boolean count, the product table built
-as an intersection-number histogram, integer incidence-matrix products,
-and full recounts at every orbit point on the fixtures small enough to
-afford it.
+five ways here: the per-triple count, the product table built as an
+intersection-number histogram, the numpy walk and histogram of
+``numpy_oracles``, integer incidence-matrix products, and full recounts
+at every orbit point on the fixtures small enough to afford it.  Coset
+partitions are held to a union-find over the subgroup generators.
 """
 
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import DATA
 from hyperq.errors import OrderBoundExceeded
 from hyperq.fixtures import (
+    random_coset_specs,
     s3_generators,
     s3_mixed_action,
     s3_spec,
@@ -41,6 +43,7 @@ from hyperq.realization import (
     perm_mul,
     weights,
 )
+from numpy_oracles import membership_matrix, pair_orbits, pair_products
 
 
 def test_perm_helpers():
@@ -77,9 +80,72 @@ def test_enumerate_order_bound():
 
 def test_coset_partition_of_a_stabilizer():
     elements = enumerate_group(s3_generators(), 3)
-    classes, membership = coset_partition(elements, (from_cycles(3, (0, 1)),))
+    index = {g: i for i, g in enumerate(elements)}
+    stabilizer = enumerate_group((from_cycles(3, (0, 1)),), 3)
+    classes, membership = coset_partition(elements, index, stabilizer)
     assert classes == [[0, 1], [2, 4], [3, 5]]
     assert [membership[i] for i in range(6)] == [0, 0, 1, 2, 1, 2]
+    assert _union_find_cosets(elements, (from_cycles(3, (0, 1)),)) == (classes, membership)
+
+
+def _union_find_cosets(elements, k_gens):
+    """Left cosets gK merged along right multiplication by the
+    generators of K, then ordered by least member."""
+    index = {g: i for i, g in enumerate(elements)}
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, g in enumerate(elements):
+        for k in k_gens:
+            j = index[perm_mul(g, tuple(k))]
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    buckets: dict[int, list[int]] = {}
+    for i in range(len(elements)):
+        buckets.setdefault(find(i), []).append(i)
+    classes = [sorted(v) for _, v in sorted(buckets.items())]
+    membership = [0] * len(elements)
+    for c, members in enumerate(classes):
+        for i in members:
+            membership[i] = c
+    return classes, membership
+
+
+def _union_find_coset_space(spec, k):
+    elements = enumerate_group(spec.group_generators, spec.degree)
+    index = {g: i for i, g in enumerate(elements)}
+    classes, membership = _union_find_cosets(elements, spec.subgroups[k][1])
+    gens = tuple(tuple(membership[index[perm_mul(s, elements[c[0]])]] for c in classes)
+                 for s in spec.group_generators)
+    return PermAction(n_points=len(classes), generators=gens)
+
+
+_S7_3SUBSETS = CosetSpec(
+    degree=7,
+    group_generators=(from_cycles(7, (0, 1)), from_cycles(7, tuple(range(7)))),
+    subgroups=(("s3xs4", (from_cycles(7, (0, 1)), from_cycles(7, (0, 1, 2)),
+                          from_cycles(7, (3, 4)), from_cycles(7, (3, 4, 5, 6)))),))
+
+
+def test_coset_partitions_match_the_union_find():
+    specs = random_coset_specs(40, seed=11) + [s3_spec(), _S7_3SUBSETS]
+    for spec in specs:
+        elements = enumerate_group(spec.group_generators, spec.degree)
+        index = {g: i for i, g in enumerate(elements)}
+        for k, (_, k_gens) in enumerate(spec.subgroups):
+            k_elements = enumerate_group(k_gens, spec.degree)
+            assert coset_partition(elements, index, k_elements) == \
+                _union_find_cosets(elements, k_gens), spec
+            assert coset_space(spec, k) == _union_find_coset_space(spec, k), spec
+        assert coset_union_action(spec) == disjoint_union(
+            _union_find_coset_space(spec, k) for k in range(len(spec.subgroups)))
+    assert coset_union_action(_S7_3SUBSETS).n_points == 35
 
 
 def test_coset_space_sizes():
@@ -155,12 +221,12 @@ def test_pair_orbits_of_the_mixed_action(real_mixed):
 def test_membership_partitions_the_square(all_realized):
     for real in all_realized.values():
         n = real.n_points
-        counts = np.bincount(real.membership.ravel(),
-                             minlength=real.n_arrows)
+        assert len(real.membership) == n * n
+        counts = np.bincount(real.membership, minlength=real.n_arrows)
         assert tuple(int(c) for c in counts) == real.orbit_size
-        assert real.membership.min() >= 0
+        assert min(real.membership) >= 0
         for g, (x, y) in enumerate(real.representative):
-            assert real.membership[x, y] == g
+            assert real.membership[x * n + y] == g
 
 
 def test_count_mu_on_cosets(real_cosets):
@@ -207,8 +273,8 @@ from hyperq.errors import HyperqError
 from hyperq.fixtures import s3_coset_action
 from hyperq.realization import count_mu, orbit_atoms
 real = orbit_atoms(s3_coset_action())
-broken = real.membership.copy()
-broken[0, 2] = 0
+broken = list(real.membership)
+broken[0 * 3 + 2] = 0
 real = dataclasses.replace(real, membership=broken)
 assert count_mu(real, 1, 1, 1) == 0
 try:
@@ -256,7 +322,7 @@ def _assert_incidence_identity(real):
     entry (M_b M_a)[x, y] is the number of such meetings at (x, y, a).
     Every entry of every product is compared, not only those at the
     stored representatives."""
-    m = real.membership
+    m = membership_matrix(real)
     n, k = real.n_points, real.n_arrows
     orbit_size = np.bincount(m.ravel(), minlength=k)
     for b in range(k):
@@ -281,6 +347,31 @@ def test_products_match_integer_incidence_products(oracle_realizations):
         assert all(real.products.values()), name
 
 
+def _assert_matches_numpy_oracle(real):
+    membership, reps, sizes = pair_orbits(real.action)
+    assert real.membership == membership.ravel().tolist()
+    assert real.representative == tuple(reps)
+    assert real.orbit_size == tuple(sizes)
+    # point orbits are the diagonal pair orbits, numbered by least point
+    ids: dict[int, int] = {}
+    point_orbit = [ids.setdefault(d, len(ids)) for d in membership.diagonal().tolist()]
+    src = [point_orbit[y] for _, y in reps]
+    products, comp = pair_products(membership, reps, src, len(reps))
+    # equal dicts with equal item order, so key order is included
+    assert list(real.products.items()) == list(products.items())
+    assert list(real.hypergroupoid.comp.items()) == list(comp.items())
+
+
+def test_realization_matches_the_numpy_oracle(oracle_realizations):
+    for real in oracle_realizations.values():
+        _assert_matches_numpy_oracle(real)
+
+
+def test_realization_of_random_coset_specs_matches_the_numpy_oracle():
+    for spec in random_coset_specs(25, seed=5):
+        _assert_matches_numpy_oracle(orbit_atoms(coset_union_action(spec)))
+
+
 def test_products_key_order(oracle_realizations):
     for name, real in oracle_realizations.items():
         src = real.hypergroupoid.src
@@ -294,12 +385,13 @@ def test_products_key_order(oracle_realizations):
 def test_counts_are_representative_independent(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
+        m = membership_matrix(real)
         for (b, a), pairs in real.products.items():
             for c, v in pairs:
-                pts = np.argwhere(real.membership == c)
+                pts = np.argwhere(m == c)
                 for x, y in pts:
-                    row = real.membership[x, :] == b
-                    col = real.membership[:, y] == a
+                    row = m[x, :] == b
+                    col = m[:, y] == a
                     assert int(np.count_nonzero(row & col)) == v
 
 
@@ -344,7 +436,7 @@ def test_random_actions_realize_cleanly(action):
     assert check_hg_axioms(H).ok
     for g in range(H.n_arrows):
         x, y = real.representative[g]
-        assert real.membership[y, x] == H.star[g]
+        assert real.membership[y * action.n_points + x] == H.star[g]
     W = weights(real)
     for g in range(H.n_arrows):
         assert real.orbit_size[g] == W.left[g] * len(real.unit_points[H.src[g]])
