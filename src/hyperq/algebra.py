@@ -35,6 +35,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import itemgetter, mul as times
 
 from .checks import Check, Report
 from .errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
@@ -101,39 +103,50 @@ def derived_weights(H: Hypergroupoid, mu) -> tuple[tuple[ExtNat, ...], tuple[Ext
 _FAILURE_CAP = 20
 
 
+def _law(name: str, keys, lhs, rhs) -> Check:
+    """The check of one law whose instances ``keys`` have the sides
+    ``lhs`` and ``rhs``, compared as two whole lists; only a mismatch
+    walks them for the first 20 failures as (key, lhs, rhs)."""
+    lhs, rhs = list(lhs), list(rhs)
+    failures = ()
+    if lhs != rhs:
+        failures = tuple(islice(((key, l, r) for key, l, r in zip(keys, lhs, rhs) if l != r),
+                                _FAILURE_CAP))
+    return Check(name, not failures, len(lhs), failures)
+
+
 def validate_weights(W: WeightedHypergroupoid) -> Report:
     """Check the symmetry laws and the three weight identities, exactly,
     in extended natural arithmetic.  Each law's ``Check`` counts the
     instances it compared and keeps the first 20 failures as
-    (key, lhs, rhs)."""
-    H = W.base
-    star = H.star
-    results = []
-
-    def run(name, triples):
-        failures = []
-        checked = 0
-        for key, lhs, rhs in triples:
-            checked += 1
-            if lhs != rhs:
-                if len(failures) < _FAILURE_CAP:
-                    failures.append((key, lhs, rhs))
-        results.append(Check(name, not failures, checked, tuple(failures)))
-
-    dleft, dright = derived_weights(H, W.mu)
-    run("left-def", ((g, W.left[g], dleft[g]) for g in range(H.n_arrows)))
-    run("right-def", ((g, W.right[g], dright[g]) for g in range(H.n_arrows)))
-    run("star-left", ((g, W.left[star[g]], W.right[g]) for g in range(H.n_arrows)))
-    run("star-mu", (((a, g, gp), v, W.mu.get((star[a], star[gp], star[g]), 0))
-                    for (a, g, gp), v in sorted(W.mu.items())))
-    run("murel-1", (((a, g, gp), v * W.left[a], W.mu.get((gp, star[g], a), 0) * W.left[gp])
-                    for (a, g, gp), v in sorted(W.mu.items())))
-    run("murel-2", (((a, g, gp), v * W.right[a], W.mu.get((g, a, star[gp]), 0) * W.right[g])
-                    for (a, g, gp), v in sorted(W.mu.items())))
-    run("murel-3", (((g, gp), W.left[g] * W.left[gp],
-                     sum(W.mu[(a, g, gp)] * W.left[a] for a in sorted(cs)))
-                    for (g, gp), cs in sorted(H.comp.items())))
-    return Report(tuple(results))
+    (key, lhs, rhs).  The mu laws run over the sorted mu keys (a, g, g'),
+    murel-3 over the sorted composable pairs."""
+    H, mu, left, right = W.base, W.mu, W.left, W.right
+    star = H.star.__getitem__
+    arrows = range(H.n_arrows)
+    dleft, dright = derived_weights(H, mu)
+    keys = sorted(mu)
+    a_, g_, gp_ = (list(map(itemgetter(i), keys)) for i in range(3))
+    values = list(map(mu.__getitem__, keys))
+    # the murel-1 terms v |a|_l, summed per (g, g') by murel-3
+    terms = list(map(times, values, map(left.__getitem__, a_)))
+    totals = dict.fromkeys(sorted(H.comp), 0)
+    for pair, term in zip(zip(g_, gp_), terms):
+        totals[pair] += term
+    return Report((
+        _law("left-def", arrows, left, dleft),
+        _law("right-def", arrows, right, dright),
+        _law("star-left", arrows, map(left.__getitem__, map(star, arrows)), right),
+        _law("star-mu", keys, values,
+             map(mu.get, zip(map(star, a_), map(star, gp_), map(star, g_)), repeat(0))),
+        _law("murel-1", keys, terms,
+             map(times, map(mu.get, zip(gp_, map(star, g_), a_), repeat(0)),
+                 map(left.__getitem__, gp_))),
+        _law("murel-2", keys, map(times, values, map(right.__getitem__, a_)),
+             map(times, map(mu.get, zip(g_, a_, map(star, gp_)), repeat(0)),
+                 map(right.__getitem__, g_))),
+        _law("murel-3", totals, [left[g] * left[gp] for g, gp in totals], totals.values()),
+    ))
 
 
 def is_locally_finite(W: WeightedHypergroupoid) -> bool:
@@ -168,12 +181,13 @@ def mul(W: WeightedHypergroupoid, u: Element, v: Element) -> Element:
 def chi(W: WeightedHypergroupoid, g: int) -> Fraction:
     """Modular ratio |g|_l / |g|_r."""
     l, r = W.left[g], W.right[g]
+    name = W.base.arrow_names[g]
     if not (is_finite(l) and is_finite(r)):
-        raise InfiniteCoefficient(f"arrow {g} has an infinite weight")
+        raise InfiniteCoefficient(f"arrow {name} has an infinite weight")
     if r == 0:
-        raise ZeroWeight(f"arrow {g} has zero right weight")
+        raise ZeroWeight(f"arrow {name} has zero right weight")
     if l == 0:
-        raise ZeroWeight(f"arrow {g} has zero left weight")
+        raise ZeroWeight(f"arrow {name} has zero left weight")
     return Fraction(l, r)
 
 
@@ -191,10 +205,11 @@ def e_basis(W: WeightedHypergroupoid, g: int) -> Element:
     """Normalized basis element e_g = [g] / |g|_l, satisfying
     (e_g)* = e_{g*}."""
     l = W.left[g]
+    name = W.base.arrow_names[g]
     if not is_finite(l):
-        raise InfiniteCoefficient(f"arrow {g} has infinite left weight")
+        raise InfiniteCoefficient(f"arrow {name} has infinite left weight")
     if l == 0:
-        raise ZeroWeight(f"arrow {g} has zero left weight")
+        raise ZeroWeight(f"arrow {name} has zero left weight")
     return {g: Fraction(1, l)}
 
 
@@ -336,8 +351,8 @@ def adjoint_check(real) -> Report:
         rhs_count = row_counts.pop()   # <v[g*], v'>
         e = H.unit_arrow[H.src[g]]
         ep = H.unit_arrow[H.tgt[g]]
-        left_mu = dict(real.products[(H.star[g], g)]).get(e, 0)
-        right_mu = dict(real.products[(g, H.star[g])]).get(ep, 0)
+        left_mu = real.mu.get((e, H.star[g], g), 0)
+        right_mu = real.mu.get((ep, g, H.star[g]), 0)
         checked += 1
         if right_mu == 0 or lhs != Fraction(left_mu, right_mu) * rhs_count:
             failures_adj.append((g, lhs, left_mu, right_mu, rhs_count))

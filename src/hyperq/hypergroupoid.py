@@ -23,11 +23,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from operator import or_
 
 from .checks import Report, first_failure
 from .errors import MalformedTable, NotModular
 from .quantale import AtomicQuantale
+
+EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +100,7 @@ class Hypergroupoid:
 
     def compose(self, b: int, a: int) -> frozenset[int]:
         """Composition set, empty for non-composable pairs."""
-        return self.comp.get((b, a), frozenset())
+        return self.comp.get((b, a), EMPTY)
 
     def arrow_id(self, name: str) -> int:
         return self.arrow_names.index(name)
@@ -231,8 +234,9 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
 def to_quantale(H: Hypergroupoid) -> AtomicQuantale:
     """Atom table on the arrows; non-composable products are empty."""
     n = H.n_arrows
+    get = H.comp.get
     product = tuple(
-        tuple(H.compose(b, a) for a in range(n))
+        tuple(map(get, zip(repeat(b), range(n)), repeat(EMPTY, n)))
         for b in range(n))
     return AtomicQuantale(
         atom_names=H.arrow_names,

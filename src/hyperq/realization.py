@@ -28,15 +28,16 @@ right weights of an arrow are its column and row counts:
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
 
-``weights`` collects the full table and returns it with the left/right
-vectors as a weighted hypergroupoid ready for the convolution algebra.
+``weights`` returns that table, not a copy, with the left/right vectors
+as a weighted hypergroupoid ready for the convolution algebra.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import add, itemgetter
+from itertools import compress
+from operator import add
 
 from .algebra import WeightedHypergroupoid, derived_weights
 from .errors import HyperqError, OrderBoundExceeded
@@ -226,8 +227,8 @@ class ConcreteRealization:
 
     membership[x * n_points + y] is the arrow id of the orbit through
     (x, y); representative[g] is the least pair of orbit g in
-    lexicographic order; products caches, for every composable pair
-    (b, a), the composite orbits with their pair counts."""
+    lexicographic order; mu maps (c, b, a) to <c | b, a> for every
+    composite c of every composable pair (b, a)."""
 
     action: PermAction
     hypergroupoid: Hypergroupoid
@@ -236,7 +237,7 @@ class ConcreteRealization:
     membership: list[int] = field(repr=False)
     representative: tuple[tuple[int, int], ...]
     orbit_size: tuple[int, ...]
-    products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(repr=False)
+    mu: dict[tuple[int, int, int], int] = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -311,7 +312,7 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     tgt = tuple(point_orbit[x] for (x, _) in reps)
     star = tuple(membership[y * n + x] for (x, y) in reps)
     unit_arrow = tuple(membership[pts[0] * (n + 1)] for pts in unit_points)
-    products, comp = _pair_products(membership, n, reps, src)
+    mu, comp = _pair_products(membership, n, reps, src)
 
     H = Hypergroupoid(
         unit_names=tuple(f"u{k}" for k in range(len(unit_points))),
@@ -330,7 +331,7 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
         membership=membership,
         representative=tuple(reps),
         orbit_size=tuple(sizes),
-        products=products,
+        mu=mu,
     )
 
 
@@ -343,41 +344,42 @@ def _pair_products(membership, n, reps, src):
     p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
     configurations*, 1975).  Each arrow's pairs are counted by one
     ``Counter`` over the integer keys rank(b)*k + a, where b is ranked by
-    (src[b], b), and each count lands in the bucket of its key, arrows
-    taken in increasing c.  Reading the k*k buckets in key order lists
-    the pairs by src[b], then b, then a, each with its composites in
-    increasing c, with no sort.  Returns (products, comp); equal buckets
-    share their tuple and their frozenset."""
+    (src[b], b), arrows taken in increasing c.  Two flat lists indexed by
+    key hold each pair's first composite and count, ``more`` the further
+    [c, v, ...] of a pair with two or more.  One sweep in key order writes
+    mu and comp by src[b], then b, then a, then increasing c, with no
+    sort.  Returns (mu, comp); equal composition sets are one frozenset."""
     k = len(reps)
     order = sorted(range(k), key=src.__getitem__)
-    key_of = [0] * k
-    for r, b in enumerate(order):
-        key_of[b] = r * k
+    rank = sorted(range(k), key=order.__getitem__)   # the inverse of order
     rows: dict[int, list[int]] = {}
-    buckets: list[list[tuple[int, int]] | None] = [None] * (k * k)
+    first_c, first_v = [0] * (k * k), [0] * (k * k)
+    more: dict[int, list[int]] = {}
     for c, (x, y) in enumerate(reps):
         row = rows.get(x)
         if row is None:
-            row = rows[x] = [key_of[b] for b in membership[x * n:(x + 1) * n]]
+            row = rows[x] = [rank[b] * k for b in membership[x * n:(x + 1) * n]]
         for key, v in Counter(map(add, row, membership[y::n])).items():
-            bucket = buckets[key]
-            if bucket is None:
-                buckets[key] = [(c, v)]
+            if first_v[key]:
+                more.setdefault(key, []).extend((c, v))
             else:
-                bucket.append((c, v))
-    # equal buckets share one products tuple and one composition set
-    products = {}
-    comp = {}
-    shared: dict[tuple, tuple] = {}
-    for r, b in enumerate(order):
-        for a, bucket in enumerate(buckets[r * k:(r + 1) * k]):
-            if bucket is not None:
-                pairs = tuple(bucket)
-                value = shared.get(pairs)
-                if value is None:
-                    value = shared[pairs] = (pairs, frozenset(map(itemgetter(0), pairs)))
-                products[b, a], comp[b, a] = value
-    return products, comp
+                first_c[key], first_v[key] = c, v
+    single = [frozenset((c,)) for c in range(k)]
+    shared: dict[tuple[int, ...], frozenset[int]] = {}
+    mu, comp = {}, {}
+    for key in compress(range(k * k), first_v):
+        r, a = divmod(key, k)
+        b, c = order[r], first_c[key]
+        mu[c, b, a] = first_v[key]
+        extra = more.get(key)
+        if extra is None:
+            comp[b, a] = single[c]
+        else:
+            for i in range(0, len(extra), 2):
+                mu[extra[i], b, a] = extra[i + 1]
+            cs = (c, *extra[::2])
+            comp[b, a] = shared.get(cs) or shared.setdefault(cs, frozenset(cs))
+    return mu, comp
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +408,7 @@ def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = 
 
 
 def weights(real: ConcreteRealization) -> WeightedHypergroupoid:
-    """The full structure constant table with left and right weights."""
-    mu = {(c, b, a): v
-          for (b, a), pairs in real.products.items() for c, v in pairs}
-    left, right = derived_weights(real.hypergroupoid, mu)
+    """The realized structure constant table, not a copy, with weights."""
+    left, right = derived_weights(real.hypergroupoid, real.mu)
     return WeightedHypergroupoid(
-        base=real.hypergroupoid, mu=mu, left=left, right=right)
+        base=real.hypergroupoid, mu=real.mu, left=left, right=right)

@@ -65,8 +65,9 @@ def pair_products(membership, reps, src, n_arrows):
 
     All arrows are counted at once by one ``np.unique`` over the key
     (rank of b, a, c), where b is ranked by (src[b], b).  Keys come out
-    sorted, so products lists pairs by src[b], then b, then a, each with
-    its composites in increasing c.  Returns (products, comp)."""
+    sorted, so mu lists its entries (c, b, a) by src[b], then b, then a,
+    then increasing c, and comp its pairs in the same order.  Returns
+    (mu, comp)."""
     k = n_arrows
     order = np.argsort(src, kind="stable")
     rank = np.argsort(order)
@@ -79,11 +80,11 @@ def pair_products(membership, reps, src, n_arrows):
             (k, k, k)),
         return_counts=True)
     rb, a, c = np.unravel_index(keys, (k, k, k))
-    rows = zip(order[rb].tolist(), a.tolist(), c.tolist(), counts.tolist())
-    products = {pair: tuple((ci, v) for _, _, ci, v in group)
-                for pair, group in groupby(rows, key=lambda r: r[:2])}
-    comp = {key: frozenset(c for c, _ in val) for key, val in products.items()}
-    return products, comp
+    rows = list(zip(order[rb].tolist(), a.tolist(), c.tolist(), counts.tolist()))
+    mu = {(ci, bi, ai): v for bi, ai, ci, v in rows}
+    comp = {pair: frozenset(r[2] for r in group)
+            for pair, group in groupby(rows, key=lambda r: r[:2])}
+    return mu, comp
 
 
 def regular_rep(real, u) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Group enumeration, coset actions, pair orbits and exact counting.
 
 The structure constants carry the whole algebra, so they are checked
-five ways here: the per-triple count, the product table built as an
+five ways here: the per-triple count, the mu table counted as an
 intersection-number histogram, the numpy walk and histogram of
 ``numpy_oracles``, integer incidence-matrix products, and full recounts
 at every orbit point on the fixtures small enough to afford it.  Coset
@@ -10,6 +10,7 @@ partitions are held to a union-find over the subgroup generators.
 
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -260,11 +261,14 @@ def test_product_table_matches_per_triple_counts(all_realized):
     # the histogram table against the boolean recount
     for real in all_realized.values():
         H = real.hypergroupoid
-        for (b, a), pairs in real.products.items():
-            assert {c for c, _ in pairs} == H.compose(b, a)
-            for c, v in pairs:
-                assert v == count_mu(real, c, b, a)
-                assert v >= 1
+        composites: dict[tuple[int, int], set[int]] = {}
+        for (c, b, a), v in real.mu.items():
+            composites.setdefault((b, a), set()).add(c)
+            assert v == count_mu(real, c, b, a)
+            assert v >= 1
+        for (b, a), cs in composites.items():
+            assert cs == H.compose(b, a)
+        assert composites.keys() == H.comp.keys()
 
 
 _BROKEN_COSETS = """
@@ -325,6 +329,9 @@ def _assert_incidence_identity(real):
     m = membership_matrix(real)
     n, k = real.n_points, real.n_arrows
     orbit_size = np.bincount(m.ravel(), minlength=k)
+    by_b: dict[int, list[tuple[int, int, int]]] = {}
+    for (c, b, a), v in real.mu.items():
+        by_b.setdefault(b, []).append((c, a, v))
     for b in range(k):
         xs, ts = np.nonzero(m == b)
         meetings = np.stack(
@@ -332,9 +339,8 @@ def _assert_incidence_identity(real):
         entries, values = np.unique(meetings, axis=0, return_counts=True)
         # expansion[c, a] = <c|b,a>
         expansion = np.zeros((k, k), dtype=np.int64)
-        for a in range(k):
-            for c, v in real.products.get((b, a), ()):
-                expansion[c, a] = v
+        for c, a, v in by_b.get(b, ()):
+            expansion[c, a] = v
         x, y, a = entries.T
         assert np.array_equal(expansion[m[x, y], a], values), f"b = a{b}"
         # the expansions have no nonzero entry where the products vanish
@@ -344,7 +350,8 @@ def _assert_incidence_identity(real):
 def test_products_match_integer_incidence_products(oracle_realizations):
     for name, real in oracle_realizations.items():
         _assert_incidence_identity(real)
-        assert all(real.products.values()), name
+        assert all(real.mu.values()), name
+        assert all(real.hypergroupoid.comp.values()), name
 
 
 def _assert_matches_numpy_oracle(real):
@@ -356,9 +363,9 @@ def _assert_matches_numpy_oracle(real):
     ids: dict[int, int] = {}
     point_orbit = [ids.setdefault(d, len(ids)) for d in membership.diagonal().tolist()]
     src = [point_orbit[y] for _, y in reps]
-    products, comp = pair_products(membership, reps, src, len(reps))
+    mu, comp = pair_products(membership, reps, src, len(reps))
     # equal dicts with equal item order, so key order is included
-    assert list(real.products.items()) == list(products.items())
+    assert list(real.mu.items()) == list(mu.items())
     assert list(real.hypergroupoid.comp.items()) == list(comp.items())
 
 
@@ -375,24 +382,40 @@ def test_realization_of_random_coset_specs_matches_the_numpy_oracle():
 def test_products_key_order(oracle_realizations):
     for name, real in oracle_realizations.items():
         src = real.hypergroupoid.src
-        keys = list(real.products)
+        keys = list(real.hypergroupoid.comp)
         assert keys == sorted(keys, key=lambda p: (src[p[0]], p[0], p[1])), name
-        for pairs in real.products.values():
-            cs = [c for c, _ in pairs]
-            assert cs == sorted(set(cs)), name
+        # mu lists the same pairs in the same order, each pair's
+        # composites increasing
+        triples = list(real.mu)
+        assert triples == sorted(triples, key=lambda t: (src[t[1]], t[1], t[2], t[0])), name
+
+
+def test_equal_composition_sets_are_one_object(oracle_realizations):
+    # S5 on its 2-subsets (the Petersen graph's scheme): adjacent after
+    # non-adjacent and non-adjacent after adjacent give one two-arrow set
+    s5 = (from_cycles(5, (0, 1)), from_cycles(5, (0, 1, 2, 3, 4)))
+    s2xs3 = (from_cycles(5, (0, 1)), from_cycles(5, (2, 3)), from_cycles(5, (2, 3, 4)))
+    petersen = orbit_atoms(coset_union_action(
+        CosetSpec(degree=5, group_generators=s5, subgroups=(("s2xs3", s2xs3),))))
+    repeated = Counter(cs for cs in petersen.hypergroupoid.comp.values() if len(cs) > 1)
+    assert max(repeated.values()) == 2
+    for name, real in (("s5_regular_points", oracle_realizations["s5_regular_points"]),
+                       ("petersen", petersen)):
+        seen: dict[frozenset[int], frozenset[int]] = {}
+        for cs in real.hypergroupoid.comp.values():
+            assert seen.setdefault(cs, cs) is cs, name
 
 
 def test_counts_are_representative_independent(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
         m = membership_matrix(real)
-        for (b, a), pairs in real.products.items():
-            for c, v in pairs:
-                pts = np.argwhere(m == c)
-                for x, y in pts:
-                    row = m[x, :] == b
-                    col = m[:, y] == a
-                    assert int(np.count_nonzero(row & col)) == v
+        for (c, b, a), v in real.mu.items():
+            pts = np.argwhere(m == c)
+            for x, y in pts:
+                row = m[x, :] == b
+                col = m[:, y] == a
+                assert int(np.count_nonzero(row & col)) == v
 
 
 def test_weights_of_the_fixtures(w_regular, w_cosets, w_mixed):
