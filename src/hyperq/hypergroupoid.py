@@ -9,7 +9,8 @@ The defining laws checked by ``check_hg_axioms``:
 
   HG1  each unit has a unique two-sided identity arrow
   HG2  (x y) z = x (y z) as sets, over all composable triples, decided
-       one row of z per composable pair (x, y)
+       one row of z per composable pair (x, y) with y a middle arrow of
+       Light's test
   HG3  x in y z  implies  z in y* x  and  y in x z*
 
 Subsets of arrows under pointwise composition form an atomic modular
@@ -135,6 +136,46 @@ def same_structure(H1: Hypergroupoid, H2: Hypergroupoid) -> bool:
 # axiom checking
 
 
+def _middles(H: Hypergroupoid) -> list[int]:
+    """Middle arrows for Light's associativity test, in id order.
+
+    The arrows are walked in id order and each one not yet reached
+    becomes a middle.  Reached are the middles and every arrow w with
+    comp(t, u) = {w} or comp(u, t) = {w} for a reached t and a middle u.
+    Each pair of a reached arrow and a middle is composed once, when the
+    later of the two arrives.  Every arrow is reached, and an arrow that
+    is not a middle is reached from middles smaller than itself."""
+    get = H.comp.get
+    reached = [False] * H.n_arrows
+    order: list[int] = []
+    middles: list[int] = []
+    for m in range(H.n_arrows):
+        if reached[m]:
+            continue
+        reached[m] = True
+        middles.append(m)
+        new = [m]
+        for t in order:
+            for cs in (get((m, t), EMPTY), get((t, m), EMPTY)):
+                if len(cs) == 1:
+                    (w,) = cs
+                    if not reached[w]:
+                        reached[w] = True
+                        new.append(w)
+        # new grows while it is walked: each newly reached arrow meets
+        # every middle
+        for w in new:
+            order.append(w)
+            for u in middles:
+                for cs in (get((w, u), EMPTY), get((u, w), EMPTY)):
+                    if len(cs) == 1:
+                        (v,) = cs
+                        if not reached[v]:
+                            reached[v] = True
+                            new.append(v)
+    return middles
+
+
 def check_hg_axioms(H: Hypergroupoid) -> Report:
     """Check HG1 (unique identities), HG2 (associativity) and HG3
     (the involution exchange law) over all composable tuples.  Each law
@@ -143,9 +184,20 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
 
     HG2 compares, for each composable (x, y), the row of (x y) z with the
     row of x (y z) over the z with tgt z = src y, and reports the first
-    differing z (y, then x, then z ascending).  It reads only ``comp``,
-    not ``to_quantale``, so it stays independent of the quantale check's
-    Q4, which decides the same law on the atom table."""
+    differing z (y, then x, then z ascending).  It is decided by Light's
+    test: only the middle arrows y of ``_middles`` are scanned.  Every
+    non-composable triple holds as the empty set on both sides, so the
+    arrows y for which the law holds are closed under singleton
+    composites, and every arrow is a singleton composite reached from
+    middles smaller than itself.  The smallest failing y is therefore a
+    middle, and the scan over the middles finds the same first triple
+    as a scan over every y.  HG2 reads only ``comp``, not
+    ``to_quantale``, and finds its own middles, so it stays independent
+    of the quantale check's Q4, which decides the same law on the atom
+    table.
+
+    HG3 walks the composable pairs (y, z) and each x in comp(y, z) in
+    ascending order and reports the first failing (x, y, z)."""
     results = []
 
     # HG1: the declared identity absorbs, and no other arrow does
@@ -187,7 +239,7 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
     mask = {cs: sum(1 << d for d in cs) for cs in set(H.comp.values())}
     after = [[mask[H.comp[c, z]] for z in into[H.src[c]]] for c in range(H.n_arrows)]
     hg2_ce = None
-    for y in range(H.n_arrows):
+    for y in _middles(H):
         zs = into[H.src[y]]
         # one gather for the first composite of each y z, then the others
         yz = [[pos[d] for d in H.comp[y, z]] for z in zs]
@@ -215,9 +267,11 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
 
     # HG3: x in yz implies z in y*x and y in xz*
     hg3_ce = None
-    for (y, z), xs in sorted(H.comp.items()):
-        for x in sorted(xs):
-            if z not in H.compose(H.star[y], x) or y not in H.compose(x, H.star[z]):
+    comp, get, star = H.comp, H.comp.get, H.star
+    for y, z in sorted(comp):
+        xs = comp[y, z]
+        for x in sorted(xs) if len(xs) > 1 else xs:
+            if z not in get((star[y], x), EMPTY) or y not in get((x, star[z]), EMPTY):
                 hg3_ce = (x, y, z)
                 break
         if hg3_ce:

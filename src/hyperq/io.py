@@ -113,14 +113,20 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
     uix = {nm: i for i, nm in enumerate(units)}
 
     def arrow(nm):
-        if nm not in aix:
+        if not isinstance(nm, str) or nm not in aix:
             raise SchemaError(f"unknown arrow {nm!r}")
         return aix[nm]
 
     def unit(nm):
-        if nm not in uix:
+        if not isinstance(nm, str) or nm not in uix:
             raise SchemaError(f"unknown unit {nm!r}")
         return uix[nm]
+
+    def extnat(field, raw):
+        try:
+            return extnat_from_json(raw)
+        except ValueError as exc:
+            raise SchemaError(f"field {field!r}: {exc}") from None
 
     unit_arrows = _require(obj, "unit_arrows", dict)
     if set(unit_arrows) != set(units):
@@ -150,7 +156,7 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
                arrow(_require(rec, "gp", str)))
         if key in mu:
             raise SchemaError(f"duplicate mu record for {rec}")
-        mu[key] = extnat_from_json(_require(rec, "value", None))
+        mu[key] = extnat("value", _require(rec, "value", None))
 
     left, right = derived_weights(H, mu)
     if "left" in obj or "right" in obj:
@@ -158,7 +164,7 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
         for field, vec in (("left", left), ("right", right)):
             overrides = _require(obj, field, dict) if field in obj else {}
             for nm, v in overrides.items():
-                vec[arrow(nm)] = extnat_from_json(v)
+                vec[arrow(nm)] = extnat(field, v)
         left, right = tuple(left), tuple(right)
     return WeightedHypergroupoid(base=H, mu=mu, left=left, right=right)
 

@@ -5,7 +5,9 @@ composable triple, triple by triple, in the order ``check_hg_axioms``
 reports: y, then x, then z, each ascending.  The checker must give the
 same verdict and the same first counterexample on the fixtures, the
 realized tables and seeded mutants that add or drop one well-typed
-composite in one composition set.
+composite in one composition set.  The checker scans only the middle
+arrows of Light's test, so every failing mutant's first y must be a
+middle.
 """
 
 import dataclasses
@@ -13,10 +15,11 @@ import random
 
 import pytest
 
+from hyperq import hypergroupoid, quantale
 from hyperq.fixtures import random_coset_specs
-from hyperq.hypergroupoid import check_hg_axioms
+from hyperq.hypergroupoid import check_hg_axioms, to_quantale
 from hyperq.io import load_input
-from hyperq.realization import coset_union_action, orbit_atoms
+from hyperq.realization import CosetSpec, coset_union_action, from_cycles, orbit_atoms
 
 from conftest import DATA
 
@@ -100,7 +103,29 @@ def test_checker_matches_the_oracle_on_mutants(base_tables):
                    if len({(H.src[c], H.tgt[c]) for c in range(H.n_arrows)}) < H.n_arrows)
     failing = 0
     for _ in range(1000):
-        H = base_tables[rng.choice(names)]
-        failing += _assert_agrees(_mutant(H, rng)) is not None
+        H = _mutant(base_tables[rng.choice(names)], rng)
+        expected = hg2_oracle(H)
+        if expected is not None:
+            failing += 1
+            # the checker scans only the middles: the first failing y
+            # must be one of them
+            assert expected[1] in hypergroupoid._middles(H)
+        hg2 = check_hg_axioms(H).result("HG2")
+        assert (hg2.passed, hg2.counterexample) == (expected is None, expected)
     # both verdicts must be well represented
     assert 100 <= failing <= 900
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_regular_tables_have_few_middles(degree):
+    """S4 and S5 acting on themselves are generated by a transposition
+    and a long cycle, so both views find at most 4 middles among 24 and
+    120 arrows, and the laws pass."""
+    gens = (from_cycles(degree, (0, 1)), from_cycles(degree, tuple(range(degree))))
+    spec = CosetSpec(degree=degree, group_generators=gens, subgroups=(("e", ()),))
+    H = orbit_atoms(coset_union_action(spec)).hypergroupoid
+    Q = to_quantale(H)
+    assert len(hypergroupoid._middles(H)) <= 4
+    assert len(quantale._middles(Q.product)) <= 4
+    assert check_hg_axioms(H).result("HG2").passed
+    assert quantale.check_axioms(Q).result("Q4").passed

@@ -10,24 +10,26 @@ small fixtures and on a seeded battery of random atom tables, and the
 checker's counterexample must be the oracle's first failing atom tuple.
 """
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from conftest import DATA
-from hyperq.fixtures import delta_quantale, delta_quantale_mutated
+from hyperq.fixtures import delta_quantale, delta_quantale_mutated, random_coset_specs
 from hyperq.hypergroupoid import to_quantale
 from hyperq.io import load_input
 from hyperq.quantale import (
     AtomicQuantale,
+    _middles,
     check_axioms,
     mask_to_element,
     q_mul,
     q_star,
     unit_element,
 )
-from hyperq.realization import orbit_atoms
+from hyperq.realization import coset_union_action, orbit_atoms
 
 ORACLE_ATOM_BOUND = 5
 LAWS = ("Q4", "Q6", "Q7", "Q8", "Q9")
@@ -155,3 +157,50 @@ def test_checker_agrees_with_oracle_on_random_tables():
     # the battery exercises both verdicts of every law that can fail
     for law in ("Q4", "Q6", "Q8", "Q9"):
         assert verdicts[law] == {True, False}, law
+
+
+def q4_oracle(Q: AtomicQuantale):
+    """The first atom triple (x, y, z) in lexicographic order with
+    (x y) z != x (y z), evaluated with ``q_mul`` triple by triple, or
+    None.  Atoms suffice: the element-level oracle above confirms the
+    reduction on tables of at most five atoms."""
+    n = Q.n_atoms
+    for x in range(n):
+        for y in range(n):
+            xy = Q.product[x][y]
+            for z in range(n):
+                if q_mul(Q, xy, frozenset((z,))) != q_mul(Q, frozenset((x,)), Q.product[y][z]):
+                    return x, y, z
+    return None
+
+
+def test_q4_counterexample_is_found_beyond_the_middles():
+    """Q4 scans only the middle atoms y for its verdict and rescans every
+    y on a failure, so that the first triple in (x, y, z) order is kept.
+    On realized tables of 6 to 30 atoms and on mutants with one or two
+    atoms toggled in their product cells, the checker must match the
+    triple-by-triple oracle, and some mutants must have their first
+    failure at an atom y that is not a middle, where a scan of the
+    middles alone would report another triple."""
+    bases = [to_quantale(orbit_atoms(coset_union_action(spec)).hypergroupoid)
+             for spec in random_coset_specs(200, seed=3)]
+    bases = [Q for Q in bases if 6 <= Q.n_atoms <= 30]
+    assert max(Q.n_atoms for Q in bases) >= 20
+    rng = random.Random(4)
+    tables = list(bases)
+    for _ in range(300):
+        Q = rng.choice(bases)
+        n = Q.n_atoms
+        product = [list(row) for row in Q.product]
+        for _ in range(rng.randint(1, 2)):
+            b, a = rng.randrange(n), rng.randrange(n)
+            product[b][a] ^= {rng.randrange(n)}
+        tables.append(dataclasses.replace(Q, product=tuple(map(tuple, product))))
+    beyond = 0
+    for Q in tables:
+        expected = q4_oracle(Q)
+        q4 = check_axioms(Q).result("Q4")
+        got = None if q4.passed else tuple(min(e) for e in q4.counterexample)
+        assert got == expected
+        beyond += expected is not None and expected[1] not in _middles(Q.product)
+    assert beyond >= 1
