@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
@@ -64,27 +65,43 @@ def _emit(lines: list[str]):
 
 
 def _emit_json(obj: dict):
-    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline."""
+    _encode(obj, "\n", sys.stdout.write)
+    sys.stdout.write("\n")
 
-    The top-level keys are written here and each value is encoded on its
-    own, then re-indented one level; encoded strings hold no raw newline,
-    so the re-indent touches only the layout.  A value given as an
-    iterator yields text already encoded that way, and is written chunk
+
+def _encode(value, nl: str, write):
+    """Write ``json.dumps(value, indent=2, sort_keys=True)`` nested at the
+    indent that follows the newline ``nl``, in one pass for the types the
+    reports hold; anything else, floats included, goes to ``json.dumps``.
+    An iterator yields text already encoded at that indent, written chunk
     by chunk, so a large array is never held whole."""
-    write = sys.stdout.write
-    if not obj:
-        write("{}\n")
-        return
-    sep = "{\n"
-    for key in sorted(obj):
-        write(f"{sep}  {encode_basestring_ascii(key)}: ")
-        value = obj[key]
-        if isinstance(value, Iterator):
-            sys.stdout.writelines(value)
-        else:
-            write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
-        sep = ",\n"
-    write("\n}\n")
+    kind = type(value)
+    if kind is str:
+        write(encode_basestring_ascii(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif value is None or kind is bool:
+        write("null" if value is None else "true" if value else "false")
+    elif (kind is list or kind is tuple) and value:
+        inner, sep = nl + "  ", "["
+        for item in value:
+            write(sep + inner)
+            _encode(item, inner, write)
+            sep = ","
+        write(nl + "]")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner, sep = nl + "  ", "{"
+        for key in sorted(value):
+            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _encode(value[key], inner, write)
+            sep = ","
+        write(nl + "}")
+    elif isinstance(value, Iterator):
+        for chunk in value:
+            write(chunk)
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
 
 
 _MU_RECORD = '    {\n      "a": %s,\n      "g": %s,\n      "gp": %s,\n      "value": %s\n    }'
@@ -350,9 +367,21 @@ def cmd_site(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """The type of ``--t``: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line parser and its subcommand parsers by name, built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="hyperq",
         description="Weighted hypergroupoid algebras from group actions.")
@@ -375,13 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     add("kms", cmd_kms, "verify the KMS identity for the unit-supported weight")
     p = add("evolve", cmd_evolve, "apply the time evolution to an element")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--element", required=True, help="element literal, e.g. '2*[a1]'")
     p = add("convolve", cmd_convolve, "convolve two extended-natural functions")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     add("site", cmd_site, "objects and hom counts of the site of the quantale")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser."""
+    return _parsers()[0]
 
 
 # options whose values are literals that may begin with '-'
@@ -400,9 +434,24 @@ def _attach_literals(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: when argv names its command
+    first, that command's parser reads the rest.  Any other call, or an
+    argument left over, takes the full parser, which words every usage
+    message."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_literals(argv))
+    args = _parse_args(_attach_literals(argv))
     try:
         return args.func(args)
     except SchemaError as exc:

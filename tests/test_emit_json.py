@@ -1,12 +1,13 @@
 """The JSON emitter writes exactly what json.dumps(indent=2,
 sort_keys=True) writes.
 
-``_emit_json`` encodes each top-level value on its own and writes the
+``_emit_json`` encodes the report in one recursive pass and writes the
 pre-encoded chunks of the algebra report's ``mu`` array as they come.
 Its output must equal the one-shot ``json.dumps`` of the same object,
-for every command's report on every fixture and for the edge cases of
-the ``mu`` template: infinite values, arrow names that need escaping,
-and an empty table.
+for every command's report on every fixture, for any nesting of the
+value types a report holds, and for the edge cases of the ``mu``
+template: infinite values, arrow names that need escaping, and an
+empty table.
 """
 
 import contextlib
@@ -14,6 +15,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperq import cli
 from hyperq.extnat import INF, extnat_to_json
@@ -78,3 +81,20 @@ def test_emitter_matches_json_dumps_on_plain_values():
            'k"eyé': "v", "n": [[], [{}]]}
     assert _emitted(obj) == _canonical(obj)
     assert _emitted({}) == _canonical({})
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text(st.sampled_from('ab"\\/ \n\t\x00\x1f\x7fé\u2028€𝔤\ud800'), max_size=6)
+SCALARS = (TEXT | st.integers(min_value=-(2**70), max_value=2**70) | st.booleans()
+           | st.none() | st.floats(allow_nan=False, allow_infinity=False))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=3)),
+    max_leaves=15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(TEXT, VALUES, max_size=4))
+def test_emitter_matches_json_dumps_on_any_report_shape(obj):
+    assert _emitted(obj) == _canonical(obj)

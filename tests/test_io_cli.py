@@ -337,6 +337,20 @@ def test_literals_with_a_leading_minus(run):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e309"])
+def test_evolve_refuses_a_time_that_is_not_finite(capsys, t, fmt):
+    # float() reads these, but JSON has no NaN or Infinity
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", str(FILES["s3_cosets"]), "--t", t, "--element=1*[a1]",
+                  "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"hyperq evolve: error: argument --t: invalid finite float value: '{t}'\n")
+
+
 def test_convolve_with_infinite_values(run):
     rc, out, _ = run("convolve", DATA / "inf_abstract.json",
                      "--f", "inf*[w]", "--g", "[w]", "--format", "json")
@@ -422,6 +436,26 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "command: atoms" in proc.stdout
+
+
+def test_no_warnings_in_development_mode():
+    # each call in a fresh interpreter that turns every warning into an error
+    path = str(FILES["s3_cosets"])
+    calls = [
+        *([command, path] for command in ("atoms", "algebra", "check", "kms", "site")),
+        ["evolve", path, "--t", "1", "--element", "[a1]"],
+        ["convolve", path, "--f", "[a1]", "--g", "2*[a1]"],
+        ["--version"],
+        ["bogus"],
+        ["evolve", path, "--element", "[a1]"],  # no --t
+    ]
+    procs = [subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "hyperq.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for argv in calls]
+    errs = [proc.communicate()[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * 8 + [2, 2]
+    for argv, err in zip(calls, errs):
+        assert "Warning" not in err and "Traceback" not in err, (argv, err)
 
 
 def _drop_last_comp(obj):
