@@ -230,8 +230,17 @@ def _law_entries(report, fmt) -> list[dict]:
              "note": r.note} for r in report.results]
 
 
+def _hg_names(H, ce) -> list[str]:
+    """Names of a hypergroupoid counterexample: HG1's is (unit, arrow),
+    HG2's and HG3's are arrow triples."""
+    if len(ce) == 2:
+        return [H.unit_names[ce[0]], H.arrow_names[ce[1]]]
+    return [H.arrow_names[g] for g in ce]
+
+
 def cmd_check(args) -> int:
     ctx = Context(args.file)
+    H = ctx.base
     Q = to_quantale(ctx.base)
     q_report = check_axioms(Q)
     h_report = check_hg_axioms(ctx.base)
@@ -242,7 +251,7 @@ def cmd_check(args) -> int:
         payload = {
             "quantale": _law_entries(
                 q_report, lambda ce: [sorted(Q.atom_names[i] for i in e) for e in ce]),
-            "hypergroupoid": _law_entries(h_report, list),
+            "hypergroupoid": _law_entries(h_report, lambda ce: _hg_names(H, ce)),
             "weights": [{"name": r.name, "passed": r.passed, "checked": r.checked,
                          "failures": [list(f) for f in r.failures]}
                         for r in w_report.results],
@@ -255,7 +264,8 @@ def cmd_check(args) -> int:
         lines += _table(headers, _law_rows(
             q_report, lambda ce: " ".join(_elem_str(Q, e) for e in ce)))
         lines.append("")
-        lines += _table(headers, _law_rows(h_report, str))
+        lines += _table(headers, _law_rows(
+            h_report, lambda ce: "(" + ", ".join(_hg_names(H, ce)) + ")"))
         lines.append("")
         lines += _table(["identity", "status", "failures", "checked"],
                         [[r.name, "pass" if r.passed else "FAIL",

@@ -249,6 +249,19 @@ def test_check_fails_on_broken_associativity_law(run):
     assert "HG3" in err
 
 
+def test_check_names_hypergroupoid_counterexamples(run):
+    # arrow 1 is s and arrow 0 the identity 1: HG3 fails at (1, 0, 1)
+    rc, out, _ = run("check", DATA / "hg3_mutated.json")
+    assert rc == 1
+    assert "HG3    FAIL    (s, 1, s)" in out.splitlines()
+    rc, out, _ = run("check", DATA / "hg3_mutated.json", "--format", "json")
+    hg3 = json.loads(out)["hypergroupoid"][2]
+    assert hg3["name"] == "HG3" and hg3["counterexample"] == ["s", "1", "s"]
+    # HG1's counterexample is a unit and an arrow
+    H = cli.Context(str(DATA / "hg3_mutated.json")).base
+    assert cli._hg_names(H, (0, 1)) == [H.unit_names[0], "s"]
+
+
 def test_check_fails_on_inconsistent_constants(run):
     rc, _, err = run("check", DATA / "bad_mu.json", "--samples", "200")
     assert rc == 1
