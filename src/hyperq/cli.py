@@ -71,11 +71,8 @@ def _emit_json(obj: dict):
 
 
 def _encode(value, nl: str, write):
-    """Write ``json.dumps(value, indent=2, sort_keys=True)`` nested at the
-    indent that follows the newline ``nl``, in one pass for the types the
-    reports hold; anything else, floats included, goes to ``json.dumps``.
-    An iterator yields text already encoded at that indent, written chunk
-    by chunk, so a large array is never held whole."""
+    """Write ``json.dumps(value, indent=2, sort_keys=True)`` nested after the newline and
+    indent ``nl``; floats go to ``json.dumps``; an iterator yields text so encoded."""
     kind = type(value)
     if kind is str:
         write(encode_basestring_ascii(value))
@@ -231,8 +228,7 @@ def _law_entries(report, fmt) -> list[dict]:
 
 
 def _hg_names(H, ce) -> list[str]:
-    """Names of a hypergroupoid counterexample: HG1's is (unit, arrow),
-    HG2's and HG3's are arrow triples."""
+    """Names of a hypergroupoid counterexample: (unit, arrow) for HG1, else arrows."""
     if len(ce) == 2:
         return [H.unit_names[ce[0]], H.arrow_names[ce[1]]]
     return [H.arrow_names[g] for g in ce]
@@ -240,7 +236,6 @@ def _hg_names(H, ce) -> list[str]:
 
 def cmd_check(args) -> int:
     ctx = Context(args.file)
-    H = ctx.base
     Q = to_quantale(ctx.base)
     q_report = check_axioms(Q)
     h_report = check_hg_axioms(ctx.base)
@@ -251,7 +246,7 @@ def cmd_check(args) -> int:
         payload = {
             "quantale": _law_entries(
                 q_report, lambda ce: [sorted(Q.atom_names[i] for i in e) for e in ce]),
-            "hypergroupoid": _law_entries(h_report, lambda ce: _hg_names(H, ce)),
+            "hypergroupoid": _law_entries(h_report, lambda ce: _hg_names(ctx.base, ce)),
             "weights": [{"name": r.name, "passed": r.passed, "checked": r.checked,
                          "failures": [list(f) for f in r.failures]}
                         for r in w_report.results],
@@ -265,7 +260,7 @@ def cmd_check(args) -> int:
             q_report, lambda ce: " ".join(_elem_str(Q, e) for e in ce)))
         lines.append("")
         lines += _table(headers, _law_rows(
-            h_report, lambda ce: "(" + ", ".join(_hg_names(H, ce)) + ")"))
+            h_report, lambda ce: f"({', '.join(_hg_names(ctx.base, ce))})"))
         lines.append("")
         lines += _table(["identity", "status", "failures", "checked"],
                         [[r.name, "pass" if r.passed else "FAIL",
@@ -379,19 +374,17 @@ def cmd_site(args) -> int:
 
 def _finite_float(text: str) -> float:
     """The type of ``--t``: a float that is neither infinite nor NaN."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if math.isfinite(value):
+    if math.isfinite(value := float(text)):
         return value
     raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
 
 
+_finite_float.__name__ = "float"  # argparse's word for text that is no number
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command line parser and its subcommand parsers by name, built
-    once per process."""
+    """The command line parser and its command parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="hyperq",
         description="Weighted hypergroupoid algebras from group actions.")
@@ -445,14 +438,10 @@ def _attach_literals(argv: list[str]) -> list[str]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``: when argv names its command
-    first, that command's parser reads the rest.  Any other call, or an
-    argument left over, takes the full parser, which words every usage
-    message."""
+    """``build_parser().parse_args(argv)``, skipping the top level when it can."""
     parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
             return args
@@ -464,10 +453,7 @@ def main(argv=None) -> int:
     args = _parse_args(_attach_literals(argv))
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SchemaError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except HyperqError as exc:

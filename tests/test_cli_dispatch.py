@@ -76,9 +76,3 @@ def test_direct_dispatch_equals_the_full_parser(argv):
         assert vars(direct) == vars(full)
     assert _outcome(cli._parse_args, argv) == _outcome(_full_parse, argv)
 
-
-def test_leftover_arguments_take_the_top_level_usage():
-    code, _, err = _outcome(cli._parse_args, ["check", FILE, "extra"])
-    assert code == 2
-    assert err.startswith("usage: hyperq [-h] [--version]")
-    assert err.endswith("hyperq: error: unrecognized arguments: extra\n")

@@ -351,9 +351,12 @@ def test_literals_with_a_leading_minus(run):
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
-@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e309"])
-def test_evolve_refuses_a_time_that_is_not_finite(capsys, t, fmt):
-    # float() reads these, but JSON has no NaN or Infinity
+@pytest.mark.parametrize("t, word", [
+    # float() reads the first four, but JSON has no NaN or Infinity
+    ("nan", "finite float"), ("inf", "finite float"), ("-inf", "finite float"),
+    ("1e309", "finite float"), ("abc", "float"),
+])
+def test_evolve_refuses_a_time_that_is_not_finite(capsys, t, word, fmt):
     with pytest.raises(SystemExit) as exc:
         cli.main(["evolve", str(FILES["s3_cosets"]), "--t", t, "--element=1*[a1]",
                   "--format", fmt])
@@ -361,7 +364,7 @@ def test_evolve_refuses_a_time_that_is_not_finite(capsys, t, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(
-        f"hyperq evolve: error: argument --t: invalid finite float value: '{t}'\n")
+        f"hyperq evolve: error: argument --t: invalid {word} value: '{t}'\n")
 
 
 def test_convolve_with_infinite_values(run):
