@@ -64,7 +64,8 @@ def _namespace(parse, argv):
 
 
 def _id(argv):
-    return " ".join(a.rsplit("/", 1)[-1] for a in argv) or "no-arguments"
+    return " ".join(a.rsplit("/", 1)[-1] if a.endswith(".json") else a
+                    for a in argv) or "no-arguments"
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=[_id(a) for a in ARGVS])
