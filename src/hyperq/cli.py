@@ -19,11 +19,11 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .algebra import chi, convolve_ext, eta, kms_check, mul, sigma, validate_weights
+from .algebra import chi, convolve_ext, kms_check, sigma, validate_weights
 from .errors import HyperqError, InfiniteCoefficient, SchemaError, ZeroWeight
 from .extnat import INF, extnat_to_json
 from .hypergroupoid import check_hg_axioms, to_quantale
-from .io import InputSpec, format_complex, format_element, load_input, parse_element
+from .io import format_complex, format_element, load_input, parse_element
 from .quantale import check_axioms, site
 from .realization import orbit_atoms, weights
 
@@ -234,6 +234,11 @@ def _hg_names(H, ce) -> list[str]:
     return [H.arrow_names[g] for g in ce]
 
 
+def _key_names(H, key):
+    """Names of a weight-identity key: an arrow, or a tuple of arrows."""
+    return H.arrow_names[key] if type(key) is int else [H.arrow_names[g] for g in key]
+
+
 def cmd_check(args) -> int:
     ctx = Context(args.file)
     Q = to_quantale(ctx.base)
@@ -248,7 +253,8 @@ def cmd_check(args) -> int:
                 q_report, lambda ce: [sorted(Q.atom_names[i] for i in e) for e in ce]),
             "hypergroupoid": _law_entries(h_report, lambda ce: _hg_names(ctx.base, ce)),
             "weights": [{"name": r.name, "passed": r.passed, "checked": r.checked,
-                         "failures": [list(f) for f in r.failures]}
+                         "failures": [[_key_names(ctx.base, key), lhs, rhs]
+                                      for key, lhs, rhs in r.failures]}
                         for r in w_report.results],
             "ok": not failed,
         }

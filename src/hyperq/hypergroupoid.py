@@ -117,12 +117,11 @@ class Hypergroupoid:
         the shared witness."""
         simples = self.simple_arrows
         witness: dict[int, tuple[int, int]] = {}
-        for f in range(self.n_arrows):
-            target = frozenset((f,))
-            witness_f = next(((u, v) for u in simples for v in simples
-                              if self.compose(u, self.star[v]) == target), None)
-            if witness_f is not None:
-                witness[f] = witness_f
+        for u in simples:
+            for v in simples:
+                composite = self.compose(u, self.star[v])
+                if len(composite) == 1:
+                    witness.setdefault(next(iter(composite)), (u, v))
         return len(witness) == self.n_arrows, witness
 
 

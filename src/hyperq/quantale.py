@@ -22,7 +22,8 @@ order.
 ``is_grothendieck`` decides whether every atom factors as u v* with u, v
 simple (an atom u is simple when u u* is a single unit atom), and
 ``site`` enumerates the category of elements below the unit, with
-hom(q, q') = { f | 1 & f* f = q and f f* <= q' }.
+hom(q, q') = { f | 1 & f* f = q and f f* <= q' }, from the sets of
+pairwise compatible atoms alone (see its docstring).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .errors import BoundExceeded, MalformedTable
 
 QElement = frozenset[int]
 
-# site() enumerates every element once per object pair, 2**n in all.
-SITE_ATOM_BOUND = 12
+# site() refuses more compatible atom sets than a table of 12 atoms has subsets.
+SITE_ELEMENT_BOUND = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,7 @@ def q_le(a: QElement, b: QElement) -> bool:
 
 
 def mask_to_element(m: int) -> QElement:
-    out = []
-    i = 0
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +305,12 @@ def is_grothendieck(Q: AtomicQuantale) -> tuple[bool, dict[int, tuple[int, int]]
     """
     simples = simple_atoms(Q)
     witness: dict[int, tuple[int, int]] = {}
-    ok = True
-    for f in range(Q.n_atoms):
-        found = None
-        for u in simples:
-            row = Q.product[u]
-            for v in simples:
-                if row[Q.star[v]] == frozenset((f,)):
-                    found = (u, v)
-                    break
-            if found:
-                break
-        if found is None:
-            ok = False
-        else:
-            witness[f] = found
-    return ok, witness
+    for u in simples:
+        for v in simples:
+            cell = Q.product[u][Q.star[v]]
+            if len(cell) == 1:
+                witness.setdefault(next(iter(cell)), (u, v))
+    return len(witness) == Q.n_atoms, witness
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +345,36 @@ class SiteDescription:
         return frozenset(acc) == q
 
 
-def site(Q: AtomicQuantale, atom_bound: int = SITE_ATOM_BOUND) -> SiteDescription:
-    """Enumerate the site of Q.  Gated by atom count since every element
-    is inspected once per object pair."""
-    if Q.n_atoms > atom_bound:
-        raise BoundExceeded(
-            f"site enumeration gated at {atom_bound} atoms, table has {Q.n_atoms}")
+def site(Q: AtomicQuantale) -> SiteDescription:
+    """Enumerate the site of Q.
+
+    Every f in a hom set has f f* <= 1, and f f* is the union of the
+    atom products a b* over a, b in f, so f is a set of pairwise
+    compatible atoms: a b* and b a* lie below the unit, a = b included.
+    Only these sets are visited, grown one atom at a time in increasing
+    mask order; more than ``SITE_ELEMENT_BOUND`` of them are refused."""
     units = sorted(Q.units)
     unit = unit_element(Q)
-    objects = []
-    for m in range(1 << len(units)):
-        objects.append(frozenset(units[i] for i in range(len(units)) if m >> i & 1))
-    # one pass over all elements, bucketed by (domain, image bound)
-    n = Q.n_atoms
+    objects = [frozenset(u for i, u in enumerate(units) if m >> i & 1)
+               for m in range(1 << len(units))]
+    product, star = Q.product, Q.star
+    found = [0]
+    for a in range(Q.n_atoms):
+        if product[a][star[a]] <= unit:
+            # the atoms below a compatible with a
+            adj = _mask(b for b in range(a)
+                        if product[a][star[b]] <= unit and product[b][star[a]] <= unit)
+            found += [m | 1 << a for m in found if m & adj == m]
+        if len(found) > SITE_ELEMENT_BOUND:
+            raise BoundExceeded(
+                f"site enumeration gated at {SITE_ELEMENT_BOUND} compatible atom sets, "
+                f"table of {Q.n_atoms} atoms has more")
     buckets: dict[QElement, list[tuple[QElement, QElement]]] = {}
-    for m in range(1 << n):
+    for m in found:
         f = mask_to_element(m)
         dom = unit & q_mul(Q, q_star(Q, f), f)
         img = q_mul(Q, f, q_star(Q, f))
         buckets.setdefault(dom, []).append((f, img))
-    homs: dict[tuple[QElement, QElement], tuple[QElement, ...]] = {}
-    for q in objects:
-        cands = buckets.get(q, [])
-        for q2 in objects:
-            homs[(q, q2)] = tuple(f for f, img in cands if img <= q2)
+    homs = {(q, q2): tuple(f for f, img in buckets.get(q, ()) if img <= q2)
+            for q in objects for q2 in objects}
     return SiteDescription(quantale=Q, objects=tuple(objects), homs=homs)

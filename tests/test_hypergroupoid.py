@@ -8,6 +8,7 @@ it pins down the checker's counterexample reporting.
 
 import dataclasses
 import gc
+import random
 import weakref
 
 import pytest
@@ -17,6 +18,7 @@ from hyperq.errors import MalformedTable, NotModular
 from hyperq.fixtures import (
     delta_quantale,
     delta_quantale_mutated,
+    random_coset_specs,
     s3_generators,
     s3_mixed_action,
 )
@@ -32,7 +34,13 @@ from hyperq.hypergroupoid import (
 )
 from hyperq.io import load_input
 from hyperq.quantale import AtomicQuantale, is_grothendieck
-from hyperq.realization import coset_partition, enumerate_group, from_cycles, orbit_atoms
+from hyperq.realization import (
+    coset_partition,
+    coset_union_action,
+    enumerate_group,
+    from_cycles,
+    orbit_atoms,
+)
 
 from conftest import DATA
 
@@ -209,12 +217,57 @@ def test_semisimplicity_caches_do_not_keep_tables_alive():
     assert ref() is None
 
 
+def _typed_mutant(H, rng):
+    """H with one well-typed composite added to or dropped from one
+    composition set, keeping every set inhabited."""
+    pairs = sorted(H.comp)
+    while True:
+        b, a = pairs[rng.randrange(len(pairs))]
+        c = rng.choice([c for c in range(H.n_arrows)
+                        if H.src[c] == H.src[a] and H.tgt[c] == H.tgt[b]])
+        if H.comp[b, a] != {c}:
+            return dataclasses.replace(H, comp={**H.comp, (b, a): H.comp[b, a] ^ {c}})
+
+
+def _first_factorizations(H):
+    """Each arrow's first (u, v) in id order with u, v simple and
+    comp(u, v*) = {arrow}, searched arrow by arrow."""
+    simples = [g for g in range(H.n_arrows) if is_simple(H, g)]
+    out = {}
+    for f in range(H.n_arrows):
+        found = [(u, v) for u in simples for v in simples
+                 if H.compose(u, H.star[v]) == frozenset((f,))]
+        if found:
+            out[f] = found[0]
+    return out
+
+
 def test_top_decomposition_matches_semisimplicity(all_realized):
+    # the quantale and the hypergroupoid view give the same flag and the
+    # same witness as a search arrow by arrow, on the realized, abstract
+    # and seeded coset tables and on seeded mutants of them
     tables = [real.hypergroupoid for real in all_realized.values()]
     tables.append(from_quantale(delta_quantale()))
     tables.append(from_quantale(delta_quantale_mutated()))
-    for H in tables:
-        assert is_grothendieck(to_quantale(H))[0] == is_semisimple(H)[0]
+    for path in sorted(DATA.glob("*.json")):
+        spec, _ = load_input(path)
+        if spec.weighted is not None:
+            tables.append(spec.weighted.base)
+    for spec in random_coset_specs(30, seed=11):
+        tables.append(orbit_atoms(coset_union_action(spec)).hypergroupoid)
+    # a table whose every hom-set is a single arrow has no mutant
+    mutable = [H for H in tables
+               if len({(H.src[c], H.tgt[c]) for c in range(H.n_arrows)}) < H.n_arrows]
+    rng = random.Random(217)
+    mutants = [_typed_mutant(rng.choice(mutable), rng) for _ in range(300)]
+    failing = 0
+    for H in tables + mutants:
+        expected = _first_factorizations(H)
+        ok = len(expected) == H.n_arrows
+        failing += not ok
+        assert is_semisimple(H) == (ok, expected)
+        assert is_grothendieck(to_quantale(H)) == (ok, expected)
+    assert failing >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -398,9 +398,13 @@ def test_error_exits_are_code_two(run, tmp_path):
                      "--element", "[zz]")
     assert rc == 2 and err.startswith("input error:")
 
-    # 14 atoms exceed the site gate
-    rc, _, err = run("site", FILES["s3_mixed"])
-    assert rc == 2 and err.startswith("error:")
+    # the trivial group on 5 points has 6 ** 5 compatible atom sets,
+    # past the site gate
+    trivial5 = tmp_path / "trivial5.json"
+    trivial5.write_text(json.dumps({"schema": "hyperq/1", "kind": "action",
+                                    "name": "trivial5", "points": 5, "generators": []}))
+    rc, _, err = run("site", trivial5)
+    assert rc == 2 and err.startswith("error: site enumeration gated at ")
 
 
 def test_legacy_check_flags_do_not_change_the_output(run):
@@ -434,8 +438,7 @@ def _all_invocations():
                    "--format", fmt)
             yield ("convolve", str(path), "--f", f"2*{elem}", "--g", elem,
                    "--format", fmt)
-            if key != "s3_mixed":
-                yield ("site", str(path), "--format", fmt)
+            yield ("site", str(path), "--format", fmt)
 
 
 def test_every_command_is_byte_deterministic(run):

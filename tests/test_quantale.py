@@ -17,7 +17,7 @@ from hyperq.errors import BoundExceeded
 from hyperq.fixtures import delta_quantale, delta_quantale_mutated
 from hyperq.hypergroupoid import to_quantale
 from hyperq.quantale import (
-    SITE_ATOM_BOUND,
+    SITE_ELEMENT_BOUND,
     bottom,
     check_axioms,
     is_grothendieck,
@@ -30,6 +30,7 @@ from hyperq.quantale import (
     top,
     unit_element,
 )
+from hyperq.realization import PermAction, orbit_atoms
 from numpy_oracles import matrix, membership_matrix
 
 
@@ -46,6 +47,12 @@ def q_regular(real_regular):
 @pytest.fixture(scope="module")
 def q_mixed(real_mixed):
     return to_quantale(real_mixed.hypergroupoid)
+
+
+@pytest.fixture(scope="module")
+def q_trivial5():
+    # the trivial group on 5 points: 25 atoms, 6 ** 5 compatible atom sets
+    return to_quantale(orbit_atoms(PermAction(n_points=5, generators=())).hypergroupoid)
 
 
 def test_delta_product_table():
@@ -134,14 +141,15 @@ def test_mutated_delta_fails_only_modularity():
     assert [r.name for r in report.failing()] == ["Q9"]
 
 
-def test_exhaustive_bound_is_enforced(q_mixed):
-    # the law check has no atom bound any more: 14 atoms, past any 2**n
-    # element enumeration, are decided exactly on atoms; the bound that
-    # remains on this table is the site's
+def test_exhaustive_bound_is_enforced(q_mixed, q_trivial5):
+    # the law check has no atom bound: 14 atoms, past any 2**n element
+    # enumeration, are decided exactly on atoms, and so are the 25 atoms
+    # of a table whose site is refused
     assert q_mixed.n_atoms == 14
     assert check_axioms(q_mixed).ok
-    with pytest.raises(BoundExceeded):
-        site(q_mixed)
+    assert check_axioms(q_trivial5).ok
+    with pytest.raises(BoundExceeded, match="gated at"):
+        site(q_trivial5)
 
 
 def test_sampled_mode_passes_and_is_deterministic(q_mixed):
@@ -270,7 +278,7 @@ def test_site_of_delta():
     assert S.hom(one, frozenset()) == ()
 
 
-def test_site_bound_is_enforced(q_mixed):
-    assert q_mixed.n_atoms > SITE_ATOM_BOUND
-    with pytest.raises(BoundExceeded):
-        site(q_mixed)
+def test_site_bound_is_enforced(q_trivial5):
+    assert 6 ** 5 > SITE_ELEMENT_BOUND
+    with pytest.raises(BoundExceeded, match="gated at"):
+        site(q_trivial5)
