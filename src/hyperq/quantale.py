@@ -36,7 +36,8 @@ from .errors import BoundExceeded, MalformedTable
 
 QElement = frozenset[int]
 
-# site() refuses more compatible atom sets than a table of 12 atoms has subsets.
+# site() refuses more objects or compatible atom sets than a table of 12
+# atoms has subsets.
 SITE_ELEMENT_BOUND = 1 << 12
 
 
@@ -114,7 +115,14 @@ def q_le(a: QElement, b: QElement) -> bool:
 
 
 def mask_to_element(m: int) -> QElement:
-    return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
+    out = []
+    i = 0
+    while m:
+        if m & 1:
+            out.append(i)
+        m >>= 1
+        i += 1
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +360,17 @@ def site(Q: AtomicQuantale) -> SiteDescription:
     atom products a b* over a, b in f, so f is a set of pairwise
     compatible atoms: a b* and b a* lie below the unit, a = b included.
     Only these sets are visited, grown one atom at a time in increasing
-    mask order; more than ``SITE_ELEMENT_BOUND`` of them are refused."""
+    mask order.  A table with more than ``SITE_ELEMENT_BOUND`` objects
+    (subsets of the units) or compatible sets is refused."""
     units = sorted(Q.units)
+    if 1 << len(units) > SITE_ELEMENT_BOUND:
+        raise BoundExceeded(
+            f"site enumeration gated at {SITE_ELEMENT_BOUND} objects, "
+            f"table of {len(units)} units has more")
     unit = unit_element(Q)
-    objects = [frozenset(u for i, u in enumerate(units) if m >> i & 1)
-               for m in range(1 << len(units))]
+    objects = []
+    for m in range(1 << len(units)):
+        objects.append(frozenset(units[i] for i in range(len(units)) if m >> i & 1))
     product, star = Q.product, Q.star
     found = [0]
     for a in range(Q.n_atoms):
@@ -369,12 +383,16 @@ def site(Q: AtomicQuantale) -> SiteDescription:
             raise BoundExceeded(
                 f"site enumeration gated at {SITE_ELEMENT_BOUND} compatible atom sets, "
                 f"table of {Q.n_atoms} atoms has more")
+    # one pass over the compatible sets, bucketed by (domain, image bound)
     buckets: dict[QElement, list[tuple[QElement, QElement]]] = {}
     for m in found:
         f = mask_to_element(m)
         dom = unit & q_mul(Q, q_star(Q, f), f)
         img = q_mul(Q, f, q_star(Q, f))
         buckets.setdefault(dom, []).append((f, img))
-    homs = {(q, q2): tuple(f for f, img in buckets.get(q, ()) if img <= q2)
-            for q in objects for q2 in objects}
+    homs: dict[tuple[QElement, QElement], tuple[QElement, ...]] = {}
+    for q in objects:
+        cands = buckets.get(q, [])
+        for q2 in objects:
+            homs[(q, q2)] = tuple(f for f, img in cands if img <= q2)
     return SiteDescription(quantale=Q, objects=tuple(objects), homs=homs)

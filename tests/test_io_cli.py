@@ -406,6 +406,19 @@ def test_error_exits_are_code_two(run, tmp_path):
     rc, _, err = run("site", trivial5)
     assert rc == 2 and err.startswith("error: site enumeration gated at ")
 
+    # 30 units with only their identities: 2 ** 30 objects, refused before
+    # any object is built
+    units = [f"e{i}" for i in range(30)]
+    many = tmp_path / "many_units.json"
+    many.write_text(json.dumps({
+        "schema": "hyperq/1", "kind": "abstract", "name": "many_units", "units": units,
+        "arrows": [{"name": u, "src": u, "tgt": u, "star": u} for u in units],
+        "unit_arrows": {u: u for u in units},
+        "comp": [{"left": u, "right": u, "result": [u]} for u in units],
+        "mu": [{"a": u, "g": u, "gp": u, "value": 1} for u in units]}))
+    rc, _, err = run("site", many)
+    assert rc == 2 and err.startswith("error: site enumeration gated at 4096 objects")
+
 
 def test_legacy_check_flags_do_not_change_the_output(run):
     for path in (FILES["s3_mixed"], DATA / "hg3_mutated.json"):

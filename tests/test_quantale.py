@@ -229,22 +229,6 @@ def test_site_of_pair_table(q_pair):
             assert len(S.hom(q, q2)) == len(q2) ** len(q)
 
 
-def test_site_homs_match_direct_enumeration(q_pair):
-    # independent pass: test the defining conditions on all 16 elements
-    S = site(q_pair)
-    unit = unit_element(q_pair)
-    for q in S.objects:
-        for q2 in S.objects:
-            expected = []
-            for m in range(1 << q_pair.n_atoms):
-                f = mask_to_element(m)
-                dom = unit & q_mul(q_pair, q_star(q_pair, f), f)
-                img = q_mul(q_pair, f, q_star(q_pair, f))
-                if dom == q and img <= q2:
-                    expected.append(f)
-            assert sorted(S.hom(q, q2)) == sorted(expected)
-
-
 def test_site_composition_and_identities(q_pair):
     S = site(q_pair)
     for q in S.objects:

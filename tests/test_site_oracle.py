@@ -56,10 +56,10 @@ def _assert_agrees(Q, monkeypatch):
     assert S.objects == objects
     assert list(S.homs) == list(homs)
     assert S.homs == homs
-    # the gate counts exactly the elements f with f f* <= 1, each of which
-    # lies in hom(q, 1) for one q: a bound of that many answers, one less
-    # refuses
-    count = sum(len(homs[(q, objects[-1])]) for q in objects)
+    # the gate counts the objects and exactly the elements f with
+    # f f* <= 1, each of which lies in hom(q, 1) for one q: a bound of
+    # the larger count answers, one less refuses
+    count = max(len(objects), sum(len(homs[(q, objects[-1])]) for q in objects))
     if count > 1:
         monkeypatch.setattr(quantale, "SITE_ELEMENT_BOUND", count)
         site(Q)
