@@ -103,9 +103,6 @@ class Hypergroupoid:
         """Composition set, empty for non-composable pairs."""
         return self.comp.get((b, a), EMPTY)
 
-    def arrow_id(self, name: str) -> int:
-        return self.arrow_names.index(name)
-
     @cached_property
     def simple_arrows(self) -> tuple[int, ...]:
         """The simple arrows (see ``is_simple``), in id order."""
@@ -199,32 +196,13 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
     ascending order and reports the first failing (x, y, z)."""
     results = []
 
-    # HG1: the declared identity absorbs, and no other arrow does
-    hg1_ce = None
-    for e in range(H.n_units):
-        i = H.unit_arrow[e]
-        for x in range(H.n_arrows):
-            if H.tgt[x] == e and H.compose(i, x) != frozenset((x,)):
-                hg1_ce = (e, x)
-                break
-            if H.src[x] == e and H.compose(x, i) != frozenset((x,)):
-                hg1_ce = (e, x)
-                break
-        if hg1_ce:
-            break
-        for j in range(H.n_arrows):
-            if j == i or H.src[j] != e or H.tgt[j] != e:
-                continue
-            absorbs = all(
-                H.compose(j, x) == frozenset((x,))
-                for x in range(H.n_arrows) if H.tgt[x] == e)
-            if absorbs and all(
-                    H.compose(x, j) == frozenset((x,))
-                    for x in range(H.n_arrows) if H.src[x] == e):
-                hg1_ce = (e, j)
-                break
-        if hg1_ce:
-            break
+    # HG1: the declared identity i of each unit e absorbs on both sides.
+    # That includes uniqueness, as the printed note says: another loop j
+    # at e absorbing on both sides would give {j} = comp(j, i) = {i}
+    hg1_ce = next((
+        (e, x) for e, i in enumerate(H.unit_arrow) for x in range(H.n_arrows)
+        if H.tgt[x] == e and H.compose(i, x) != frozenset((x,))
+        or H.src[x] == e and H.compose(x, i) != frozenset((x,))), None)
     results.append(first_failure("HG1", hg1_ce, note="identity uniqueness included"))
 
     # HG2: with z in into[src y], (x y) z is the OR of the rows after[c]

@@ -47,8 +47,16 @@ def _require(obj: dict, key: str, kind):
     if key not in obj:
         raise SchemaError(f"missing field {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # a JSON true or false is no count, though Python's bool subclasses int
+    if kind is not None and (not isinstance(val, kind) or kind is int and isinstance(val, bool)):
         raise SchemaError(f"field {key!r} must be {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
+def _count(obj, key: str) -> int:
+    val = _require(obj, key, int)
+    if val < 0:
+        raise SchemaError(f"field {key!r} must not be negative, got {val}")
     return val
 
 
@@ -56,7 +64,7 @@ def _perm_list(obj, key: str) -> tuple[tuple[int, ...], ...]:
     raw = _require(obj, key, list)
     perms = []
     for p in raw:
-        if not isinstance(p, list) or not all(isinstance(i, int) for i in p):
+        if not isinstance(p, list) or not all(type(i) is int for i in p):
             raise SchemaError(f"{key} entries must be integer arrays")
         perms.append(tuple(p))
     return tuple(perms)
@@ -71,11 +79,11 @@ def parse_input(obj: dict) -> InputSpec:
     name = _require(obj, "name", str)
     try:
         if kind == "action":
-            points = _require(obj, "points", int)
+            points = _count(obj, "points")
             action = PermAction(points, _perm_list(obj, "generators"))
             return InputSpec(name=name, kind=kind, action=action)
         if kind == "coset":
-            degree = _require(obj, "degree", int)
+            degree = _count(obj, "degree")
             group_gens = _perm_list(obj, "group_generators")
             subs = []
             for sub in _require(obj, "subgroups", list):

@@ -29,7 +29,13 @@ atom action is a module (join-bilinear, associative, unital) satisfying
     m & (n q)  <=  ((m q*) & n) q
 
 and ``check_q_bilinear`` exposes the three bilinearity conditions for a
-binary map of right modules.
+binary map of right modules.  Both decide them over the atoms q = {j}
+alone, exactly: once f and the actions preserve joins, each left side
+at q is the join of its values at the atoms of q and each right side
+dominates them.  The modular law also needs meet to distribute over
+joins.  A lattice that is not distributive (``check_modular_action``)
+and an action that does not preserve joins (``check_q_bilinear``) raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -371,65 +377,64 @@ def quantale_lattice(Q: AtomicQuantale) -> RightAction:
     return RightAction(lattice=lat, table=tuple(table))
 
 
-def _sample_elements(Q: AtomicQuantale, limit: int = 1 << 10):
-    """All elements when small, otherwise atoms with a few fixed unions."""
-    n = Q.n_atoms
-    if (1 << n) <= limit:
-        return [mask_to_element(m) for m in range(1 << n)]
-    singles = [frozenset((i,)) for i in range(n)]
-    doubles = [frozenset((i, (i * 7 + 1) % n)) for i in range(n)]
-    return [frozenset()] + singles + doubles + [frozenset(range(n))]
+def _join_failure(Q: AtomicQuantale, action: RightAction):
+    """The first (bottom, j) with bottom j != bottom (the empty join),
+    else the first (m, m', j) with (m v m') j != m j v m' j; else None."""
+    lat, table = action.lattice, action.table
+    bad = next(((lat.bottom, j) for j in range(Q.n_atoms)
+                if table[lat.bottom][j] != lat.bottom), None)
+    if bad is None:
+        bad = next((
+            (m, mp, j) for m in range(lat.size) for mp in range(lat.size)
+            for j in range(Q.n_atoms)
+            if table[lat.join[m][mp]][j] != lat.join[table[m][j]][table[mp][j]]), None)
+    return bad
+
+
+def _distributive_meets(lat: FiniteLattice) -> list[list[int]]:
+    """The meet table, once it is known that a & (b v c) = (a & b) v (a & c)
+    for all a, b and c; ValueError at the first (a, b, c) where not."""
+    n, join = lat.size, lat.join
+    meet = [[lat.meet(a, b) for b in range(n)] for a in range(n)]
+    bad = next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]), None)
+    if bad is not None:
+        raise ValueError(f"lattice is not distributive at {bad}")
+    return meet
 
 
 def check_modular_action(Q: AtomicQuantale, action: RightAction) -> Report:
     """Module laws and the modular inequality m & n q <= ((m q*) & n) q,
-    with q over atoms and the element sample."""
+    decided over the atoms q = {j}: exact when the join-bilinear row
+    holds and the lattice is distributive, and ``ValueError`` before any
+    law when it is not distributive."""
     lat = action.lattice
     n = lat.size
+    table = action.table
+    meet = _distributive_meets(lat)
     results = []
 
     bad = next(((m,) for m in range(n)
                 if action.act(m, frozenset()) != lat.bottom), None)
     results.append(first_failure("bottom", bad))
 
-    # sup-lattice morphisms preserve the empty join too
-    bil = next((
-        (lat.bottom, j) for j in range(Q.n_atoms)
-        if action.table[lat.bottom][j] != lat.bottom), None)
-    if bil is None:
-        bil = next((
-            (m, mp, j) for m in range(n) for mp in range(n) for j in range(Q.n_atoms)
-            if action.table[lat.join[m][mp]][j]
-            != lat.join[action.table[m][j]][action.table[mp][j]]), None)
-    results.append(first_failure("join-bilinear", bil))
+    results.append(first_failure("join-bilinear", _join_failure(Q, action)))
 
     assoc = next((
         (m, i, j) for m in range(n) for i in range(Q.n_atoms) for j in range(Q.n_atoms)
         if action.act(m, q_mul(Q, frozenset((i,)), frozenset((j,))))
-        != action.table[action.table[m][i]][j]), None)
+        != table[table[m][i]][j]), None)
     results.append(first_failure("assoc", assoc))
 
     unit = next((
         (m,) for m in range(n) if action.act(m, unit_element(Q)) != m), None)
     results.append(first_failure("unit", unit))
 
-    mod = None
-    sample = [q for q in _sample_elements(Q) if len(q) != 1]
-    sample = [frozenset((j,)) for j in range(Q.n_atoms)] + sample
-    for q in sample:
-        qs = q_star(Q, q)
-        for m in range(n):
-            mq = action.act(m, qs)
-            for nn in range(n):
-                lhs = lat.meet(m, action.act(nn, q))
-                rhs = action.act(lat.meet(mq, nn), q)
-                if not lat.le(lhs, rhs):
-                    mod = (m, nn, tuple(sorted(q)))
-                    break
-            if mod:
-                break
-        if mod:
-            break
+    # m {j}* is table[m][star j]
+    star = Q.star
+    mod = next((
+        (m, nn, (j,)) for j in range(Q.n_atoms) for m in range(n) for nn in range(n)
+        if not lat.le(meet[m][table[nn][j]], table[meet[table[m][star[j]]][nn]][j])), None)
     results.append(first_failure("modular", mod))
     return Report(tuple(results))
 
@@ -443,7 +448,14 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
         2.  f(a, b q)  <=  f(a q*, b) q
         3.  f(a, b) q  <=  f(a q, b q)
 
-    plus join-bilinearity of f itself in each argument."""
+    plus join-bilinearity of f itself in each argument.  Conditions 1-3
+    are decided over the atoms q = {j}, exactly when f passes the bottom
+    and join-bilinear rows; an action that does not preserve joins is
+    refused with ``ValueError`` naming it."""
+    for name, action in (("act_a", act_a), ("act_b", act_b), ("act_c", act_c)):
+        bad = _join_failure(Q, action)
+        if bad is not None:
+            raise ValueError(f"{name} does not preserve joins at {bad}")
     A, B, C = act_a.lattice, act_b.lattice, act_c.lattice
     results = []
 
@@ -460,23 +472,17 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
             if f[a][B.join[b][bp]] != C.join[f[a][b]][f[a][bp]]), None)
     results.append(first_failure("join-bilinear", bil))
 
-    sample = _sample_elements(Q)
-    c1 = c2 = c3 = None
-    for q in sample:
-        qs = q_star(Q, q)
-        for a in range(A.size):
-            aq = act_a.act(a, q)
-            aqs = act_a.act(a, qs)
-            for b in range(B.size):
-                bq = act_b.act(b, q)
-                bqs = act_b.act(b, qs)
-                if c1 is None and not C.le(f[aq][b], act_c.act(f[a][bqs], q)):
-                    c1 = (a, b, tuple(sorted(q)))
-                if c2 is None and not C.le(f[a][bq], act_c.act(f[aqs][b], q)):
-                    c2 = (a, b, tuple(sorted(q)))
-                if c3 is None and not C.le(act_c.act(f[a][b], q), f[aq][bq]):
-                    c3 = (a, b, tuple(sorted(q)))
-    results.append(first_failure("cond-1", c1))
-    results.append(first_failure("cond-2", c2))
-    results.append(first_failure("cond-3", c3))
+    # x {j} is table[x][j] and x {j}* is table[x][star j]
+    ta, tb, tc, star = act_a.table, act_b.table, act_c.table, Q.star
+
+    def first(fails):
+        return next(((a, b, (j,)) for j in range(Q.n_atoms) for a in range(A.size)
+                     for b in range(B.size) if fails(a, b, j, star[j])), None)
+
+    results.append(first_failure("cond-1", first(
+        lambda a, b, j, js: not C.le(f[ta[a][j]][b], tc[f[a][tb[b][js]]][j]))))
+    results.append(first_failure("cond-2", first(
+        lambda a, b, j, js: not C.le(f[a][tb[b][j]], tc[f[ta[a][js]][b]][j]))))
+    results.append(first_failure("cond-3", first(
+        lambda a, b, j, js: not C.le(tc[f[a][b]][j], f[ta[a][j]][tb[b][j]]))))
     return Report(tuple(results))

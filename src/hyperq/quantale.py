@@ -76,9 +76,6 @@ class AtomicQuantale:
     def n_atoms(self) -> int:
         return len(self.atom_names)
 
-    def atom_id(self, name: str) -> int:
-        return self.atom_names.index(name)
-
 
 def bottom(Q: AtomicQuantale) -> QElement:
     return frozenset()

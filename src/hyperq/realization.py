@@ -172,9 +172,9 @@ def coset_partition(elements: list[Perm], index: dict[Perm, int],
     return classes, membership
 
 
-def coset_space(spec: CosetSpec, k: int, order_bound: int = GROUP_ORDER_BOUND) -> PermAction:
+def coset_space(spec: CosetSpec, k: int) -> PermAction:
     """The action of the spec's generators on left cosets of subgroup k."""
-    return coset_union_action(replace(spec, subgroups=(spec.subgroups[k],)), order_bound)
+    return coset_union_action(replace(spec, subgroups=(spec.subgroups[k],)))
 
 
 def disjoint_union(actions) -> PermAction:
@@ -198,10 +198,10 @@ def disjoint_union(actions) -> PermAction:
     return PermAction(n_points=total, generators=tuple(gens))
 
 
-def coset_union_action(spec: CosetSpec, order_bound: int = GROUP_ORDER_BOUND) -> PermAction:
+def coset_union_action(spec: CosetSpec) -> PermAction:
     """Disjoint union of the coset actions of every listed subgroup; the
     group and its index are built once for all of them."""
-    elements = enumerate_group(spec.group_generators, spec.degree, order_bound)
+    elements = enumerate_group(spec.group_generators, spec.degree)
     index = {g: i for i, g in enumerate(elements)}
     actions = []
     for name, k_gens in spec.subgroups:
@@ -209,7 +209,7 @@ def coset_union_action(spec: CosetSpec, order_bound: int = GROUP_ORDER_BOUND) ->
             if tuple(g) not in index:
                 raise ValueError(f"subgroup {name!r} generator outside the group")
         classes, membership = coset_partition(
-            elements, index, enumerate_group(k_gens, spec.degree, order_bound))
+            elements, index, enumerate_group(k_gens, spec.degree))
         # left multiplication s(gK) = (sg)K
         gens = tuple(tuple(membership[index[perm_mul(s, elements[c[0]])]] for c in classes)
                      for s in spec.group_generators)

@@ -540,6 +540,43 @@ def test_malformed_abstract_inputs_exit_two(tmp_path, flags, change, message):
         assert proc.stderr == f"input error: {message}\n", command
 
 
+def _action(**fields):
+    return {"schema": "hyperq/1", "kind": "action", "name": "strict", "points": 2,
+            "generators": [], **fields}
+
+
+def _coset(**fields):
+    return {**json.loads((DATA / "s3_cosets.json").read_text()), **fields}
+
+
+@pytest.mark.parametrize("obj, message", [
+    pytest.param(_action(points=-1), "field 'points' must not be negative, got -1",
+                 id="negative_points"),
+    pytest.param(_action(points=True), "field 'points' must be int, got bool",
+                 id="true_points"),
+    pytest.param(_action(generators=[[True, 0]]), "generators entries must be integer arrays",
+                 id="true_generator_entry"),
+    pytest.param(_coset(degree=-1, group_generators=[],
+                        subgroups=[{"name": "k", "generators": []}]),
+                 "field 'degree' must not be negative, got -1", id="negative_degree"),
+    pytest.param(_coset(degree=True, group_generators=[[0]],
+                        subgroups=[{"name": "k", "generators": []}]),
+                 "field 'degree' must be int, got bool", id="true_degree"),
+    pytest.param(_coset(group_generators=[[1, 0, 2], [True, 2, 0]]),
+                 "group_generators entries must be integer arrays",
+                 id="true_group_generator_entry"),
+    pytest.param(_coset(subgroups=[{"name": "k", "generators": [[True, 0, 2]]}]),
+                 "generators entries must be integer arrays", id="true_subgroup_generator_entry"),
+])
+def test_counts_and_permutation_entries_are_strict(run, tmp_path, obj, message):
+    # bool subclasses int in Python, and a negative count used to pass
+    # as an empty range or end in a traceback
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(obj))
+    for command in ("atoms", "check", "kms", "site"):
+        assert run(command, path) == (2, "", f"input error: {message}\n"), command
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_coset_input_without_subgroups_exits_two(tmp_path, flags):
     obj = json.loads((DATA / "s3_cosets.json").read_text())
