@@ -6,8 +6,9 @@ they replaced: q runs over every element in mask order (atoms first for
 the modular law).  Where the reduction's preconditions hold (a
 distributive lattice, actions and f that preserve joins) the two must
 give equal ``Report``s: on the quantale lattices of the fixtures and on
-seeded mutants of their action and f tables.  Outside them the checkers
-refuse by name.
+seeded mutants of their action and f tables.  A lattice that is not
+distributive and an action that does not preserve joins are refused by
+name.
 """
 
 import random
