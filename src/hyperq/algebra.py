@@ -84,6 +84,15 @@ class WeightedHypergroupoid:
                         raise MalformedTable(f"mu missing entry ({a},{g},{gp})")
 
 
+def gatherer(idx):
+    """The function seq -> (seq[i] for i in idx) as a tuple, one C-level
+    ``itemgetter`` call.  ``itemgetter`` returns a bare item for a single
+    index and refuses none, so an ``idx`` that short takes a Python tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple([seq[i] for i in idx])
+
+
 def derived_weights(H: Hypergroupoid, mu) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
     """Left/right weight vectors read off a mu table."""
     left = []
@@ -122,29 +131,27 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
     (key, lhs, rhs).  The mu laws run over the sorted mu keys (a, g, g'),
     murel-3 over the sorted composable pairs."""
     H, mu, left, right = W.base, W.mu, W.left, W.right
-    star = H.star.__getitem__
     arrows = range(H.n_arrows)
     dleft, dright = derived_weights(H, mu)
     keys = sorted(mu)
     a_, g_, gp_ = (list(map(itemgetter(i), keys)) for i in range(3))
-    values = list(map(mu.__getitem__, keys))
+    at_a, at_g, at_gp = gatherer(a_), gatherer(g_), gatherer(gp_)
+    values = gatherer(keys)(mu)
     # the murel-1 terms v |a|_l, summed per (g, g') by murel-3
-    terms = list(map(times, values, map(left.__getitem__, a_)))
+    terms = list(map(times, values, at_a(left)))
     totals = dict.fromkeys(sorted(H.comp), 0)
     for pair, term in zip(zip(g_, gp_), terms):
         totals[pair] += term
     return Report((
         _law("left-def", arrows, left, dleft),
         _law("right-def", arrows, right, dright),
-        _law("star-left", arrows, map(left.__getitem__, map(star, arrows)), right),
+        _law("star-left", arrows, gatherer(H.star)(left), right),
         _law("star-mu", keys, values,
-             map(mu.get, zip(map(star, a_), map(star, gp_), map(star, g_)), repeat(0))),
+             map(mu.get, zip(at_a(H.star), at_gp(H.star), at_g(H.star)), repeat(0))),
         _law("murel-1", keys, terms,
-             map(times, map(mu.get, zip(gp_, map(star, g_), a_), repeat(0)),
-                 map(left.__getitem__, gp_))),
-        _law("murel-2", keys, map(times, values, map(right.__getitem__, a_)),
-             map(times, map(mu.get, zip(g_, a_, map(star, gp_)), repeat(0)),
-                 map(right.__getitem__, g_))),
+             map(times, map(mu.get, zip(gp_, at_g(H.star), a_), repeat(0)), at_gp(left))),
+        _law("murel-2", keys, map(times, values, at_a(right)),
+             map(times, map(mu.get, zip(g_, a_, at_gp(H.star)), repeat(0)), at_g(right))),
         _law("murel-3", totals, [left[g] * left[gp] for g, gp in totals], totals.values()),
     ))
 

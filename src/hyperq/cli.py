@@ -17,6 +17,7 @@ import math
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .algebra import chi, convolve_ext, kms_check, sigma, validate_weights
@@ -80,14 +81,16 @@ def _encode(value, nl: str, write):
         write(int.__repr__(value))
     elif value is None or kind is bool:
         write("null" if value is None else "true" if value else "false")
-    elif (kind is list or kind is tuple) and value:
+    elif (kind is list or kind is tuple or kind is dict) and not value:
+        write("{}" if kind is dict else "[]")
+    elif kind is list or kind is tuple:
         inner, sep = nl + "  ", "["
         for item in value:
             write(sep + inner)
             _encode(item, inner, write)
             sep = ","
         write(nl + "]")
-    elif kind is dict and value and all(type(key) is str for key in value):
+    elif kind is dict and all(type(key) is str for key in value):
         inner, sep = nl + "  ", "{"
         for key in sorted(value):
             write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
@@ -188,7 +191,7 @@ def cmd_algebra(args) -> int:
     H, W = ctx.base, ctx.weighted
     wrows = [[H.arrow_names[g], str(W.left[g]), str(W.right[g]), _chi_str(W, g)]
              for g in range(H.n_arrows)]
-    mu_keys = sorted(W.mu, key=lambda k: (k[1], k[2], k[0]))
+    mu_keys = sorted(W.mu, key=itemgetter(1, 2, 0))
     if args.format == "json":
         payload = {
             "atoms": [{"id": r[0], "src": r[1], "tgt": r[2], "star": r[3]}

@@ -9,9 +9,15 @@ relations
 
     comp(b, a) = { orbit(x, y) | exists z with (x, z) in b, (z, y) in a }
 
-matches "apply a, then b".  Orbits are discovered scanning pairs in
-row-major order, so each arrow's stored representative is its
-lexicographically least pair.
+matches "apply a, then b".  The pair orbits meeting row x0, the least
+point of a point orbit O, are the orbits of the stabilizer G_x0 on the
+points, whose generators Schreier's lemma reads off a breadth-first
+Schreier tree of O (C. C. Sims, *Computational methods in the study of
+permutation groups*, 1970).  That row is labelled once, by least point;
+each other row x of O is the same labels read through the tree element
+taking x to x0.  So arrow ids follow the row-major order of least
+pairs, and each arrow's stored representative is its lexicographically
+least pair (x0, least point of its suborbit).
 
 Structure constants are pair counts
 
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 from operator import add
 
-from .algebra import WeightedHypergroupoid, derived_weights
+from .algebra import WeightedHypergroupoid, derived_weights, gatherer
 from .errors import HyperqError, OrderBoundExceeded
 from .hypergroupoid import Hypergroupoid
 
@@ -58,7 +64,7 @@ def identity_perm(degree: int) -> Perm:
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composite p after q: (p q)(i) = p(q(i))."""
-    return tuple(map(p.__getitem__, q))
+    return gatherer(q)(p)
 
 
 def perm_inv(p: Perm) -> Perm:
@@ -97,6 +103,7 @@ def enumerate_group(
         degree = len(gens[0])
     for g in gens:
         _check_perm(g, degree)
+    steps = [gatherer(s) for s in gens]   # x -> x s
     e = identity_perm(degree)
     elements = [e]
     seen = {e}
@@ -104,8 +111,8 @@ def enumerate_group(
     while frontier:
         nxt = []
         for x in frontier:
-            for s in gens:
-                y = perm_mul(x, s)
+            for step in steps:
+                y = step(x)
                 if y not in seen:
                     if len(elements) >= order_bound:
                         raise OrderBoundExceeded(
@@ -161,11 +168,12 @@ def coset_partition(elements: list[Perm], index: dict[Perm, int],
     indexes of g k over all k in K, sorted; so g is its class's least
     member and classes come out ordered by it.  Returns (classes,
     membership)."""
+    steps = [gatherer(k) for k in k_elements]   # g -> g k
     membership = [-1] * len(elements)
     classes: list[list[int]] = []
     for i, g in enumerate(elements):
         if membership[i] < 0:
-            coset = sorted([index[perm_mul(g, k)] for k in k_elements])
+            coset = sorted([index[step(g)] for step in steps])
             for j in coset:
                 membership[j] = len(classes)
             classes.append(coset)
@@ -210,8 +218,9 @@ def coset_union_action(spec: CosetSpec) -> PermAction:
                 raise ValueError(f"subgroup {name!r} generator outside the group")
         classes, membership = coset_partition(
             elements, index, enumerate_group(k_gens, spec.degree))
-        # left multiplication s(gK) = (sg)K
-        gens = tuple(tuple(membership[index[perm_mul(s, elements[c[0]])]] for c in classes)
+        # left multiplication s(gK) = (sg)K, g the class's least member
+        steps = [gatherer(elements[c[0]]) for c in classes]   # s -> s g
+        gens = tuple(tuple(membership[index[step(s)]] for step in steps)
                      for s in spec.group_generators)
         actions.append(PermAction(n_points=len(classes), generators=gens))
     return disjoint_union(actions)
@@ -248,8 +257,9 @@ class ConcreteRealization:
         return len(self.representative)
 
 
-def _point_orbits(action: PermAction) -> tuple[list[int], list[list[int]]]:
-    n = action.n_points
+def _point_orbits(n: int, generators) -> tuple[list[int], list[list[int]]]:
+    """Orbits of the generated group on {0..n-1}: each point's orbit id and
+    each orbit's sorted points, orbits ordered by their least point."""
     orbit = [-1] * n
     groups: list[list[int]] = []
     for start in range(n):
@@ -262,7 +272,7 @@ def _point_orbits(action: PermAction) -> tuple[list[int], list[list[int]]]:
         while frontier:
             nxt = []
             for x in frontier:
-                for s in action.generators:
+                for s in generators:
                     y = s[x]
                     if orbit[y] < 0:
                         orbit[y] = oid
@@ -273,41 +283,63 @@ def _point_orbits(action: PermAction) -> tuple[list[int], list[list[int]]]:
     return orbit, groups
 
 
+def _schreier(generators, x0: int, n: int) -> tuple[dict[int, Perm], set[Perm]]:
+    """A Schreier tree of the orbit of x0, and generators of its stabilizer.
+
+    Breadth-first from x0: tinv[x] maps x to x0, and its inverse t[x] is
+    kept while x is on the frontier.  An edge y = s x off the tree gives
+    tinv[y] s t[x], which fixes x0; by Schreier's lemma these generate the
+    stabilizer.  Returns tinv and the distinct non-identity ones."""
+    e = identity_perm(n)
+    steps = [(s, gatherer(s), gatherer(perm_inv(s))) for s in generators]
+    tinv = {x0: e}
+    found: set[Perm] = set()
+    frontier = [(x0, e)]
+    while frontier:
+        nxt = []
+        for x, t in frontier:
+            after_t = gatherer(t)   # p -> p t
+            for s, after_s, after_s_inv in steps:
+                y = s[x]
+                if y in tinv:
+                    h = after_t(after_s(tinv[y]))
+                    if h != e:
+                        found.add(h)
+                else:
+                    tinv[y] = after_s_inv(tinv[x])
+                    nxt.append((y, after_t(s)))
+        frontier = nxt
+    return tinv, found
+
+
+def _pair_orbits(n: int, generators, unit_points):
+    """Pair-orbit labels, one flat list indexed x*n + y, with each orbit's
+    least pair and size; ids in row-major order of least pairs.
+
+    The orbits through row x0, the least point of a point orbit O, are
+    the orbits of the stabilizer of x0, numbered by least point; each
+    other row x of O is that row read through tinv[x], since (x, y) and
+    (x0, tinv[x] y) share an orbit."""
+    membership = [0] * (n * n)
+    reps: list[tuple[int, int]] = []
+    sizes: list[int] = []
+    for points in unit_points:
+        x0 = points[0]
+        tinv, stabilizer = _schreier(generators, x0, n)
+        suborbit, suborbits = _point_orbits(n, stabilizer)
+        row = [len(reps) + k for k in suborbit]
+        reps += [(x0, sub[0]) for sub in suborbits]
+        sizes += [len(points) * len(sub) for sub in suborbits]
+        for x in points:
+            membership[x * n:(x + 1) * n] = gatherer(tinv[x])(row)
+    return membership, reps, sizes
+
+
 def orbit_atoms(action: PermAction) -> ConcreteRealization:
     """Enumerate point and pair orbits and assemble the hypergroupoid."""
     n = action.n_points
-    point_orbit, unit_points = _point_orbits(action)
-
-    # each generator s with its rows s[x] * n, so (s[x], s[y]) is at
-    # row[x] + s[y]; the next unlabelled pair in row-major order opens
-    # the next orbit
-    moves = [(s, [sx * n for sx in s]) for s in action.generators]
-    membership = [-1] * (n * n)
-    reps: list[tuple[int, int]] = []
-    sizes: list[int] = []
-    start = 0
-    while True:
-        try:
-            start = membership.index(-1, start)
-        except ValueError:
-            break
-        gid = len(reps)
-        frontier = [divmod(start, n)]
-        reps.append(frontier[0])
-        membership[start] = gid
-        count = 1
-        while frontier:
-            nxt = []
-            for x, y in frontier:
-                for s, row in moves:
-                    i = row[x] + s[y]
-                    if membership[i] < 0:
-                        membership[i] = gid
-                        nxt.append((s[x], s[y]))
-            count += len(nxt)
-            frontier = nxt
-        sizes.append(count)
-
+    point_orbit, unit_points = _point_orbits(n, action.generators)
+    membership, reps, sizes = _pair_orbits(n, action.generators, unit_points)
     src = tuple(point_orbit[y] for (_, y) in reps)
     tgt = tuple(point_orbit[x] for (x, _) in reps)
     star = tuple(membership[y * n + x] for (x, y) in reps)

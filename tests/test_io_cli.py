@@ -470,14 +470,21 @@ def test_module_entry_point():
     assert "command: atoms" in proc.stdout
 
 
-def test_no_warnings_in_development_mode():
+def test_no_warnings_in_development_mode(tmp_path):
     # each call in a fresh interpreter that turns every warning into an error
     path = str(FILES["s3_cosets"])
+    # degree 1: the permutation composers take their short path
+    point = tmp_path / "degree1.json"
+    point.write_text(json.dumps({
+        "schema": "hyperq/1", "kind": "coset", "name": "degree1", "degree": 1,
+        "group_generators": [[0]], "subgroups": [{"name": "e", "generators": [[0]]}]}))
     calls = [
         *([command, path] for command in ("atoms", "algebra", "check", "kms", "site")),
         ["evolve", path, "--t", "1", "--element", "[a1]"],
         ["convolve", path, "--f", "[a1]", "--g", "2*[a1]"],
         ["--version"],
+        ["algebra", str(FILES["trivial2"]), "--format", "json"],
+        ["check", str(point)],
         ["bogus"],
         ["evolve", path, "--element", "[a1]"],  # no --t
     ]
@@ -485,7 +492,7 @@ def test_no_warnings_in_development_mode():
         [sys.executable, "-X", "dev", "-W", "error", "-m", "hyperq.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for argv in calls]
     errs = [proc.communicate()[1] for proc in procs]
-    assert [proc.returncode for proc in procs] == [0] * 8 + [2, 2]
+    assert [proc.returncode for proc in procs] == [0] * 10 + [2, 2]
     for argv, err in zip(calls, errs):
         assert "Warning" not in err and "Traceback" not in err, (argv, err)
 

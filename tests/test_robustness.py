@@ -1,12 +1,18 @@
-"""Robustness of ``check`` against malformed abstract tables.
+"""Robustness of ``check`` against malformed inputs.
 
-A hypothesis property mutates one field of an abstract fixture in
-``tests/data``: it replaces the value at one path of the JSON document
-(a top-level field, a record, or a field inside a record) by another
-JSON value, or deletes it.  ``hyperq check`` on the result, run in
-process, must exit 0 (the mutation left a valid table whose laws hold),
-exit 1 naming only laws of its report, or exit 2 with a one-line input
-error that names the rejected field.  It must never raise.
+A hypothesis property mutates one field of a fixture in ``tests/data``:
+it replaces the value at one path of the JSON document (a top-level
+field, a record, or a field inside a record) by another JSON value, or
+deletes it.  Abstract tables are mutated anywhere; ``action`` and
+``coset`` inputs in their generator lists, degree and subgroup records.
+``hyperq check`` on the result, run in process, must exit 0 (the
+mutation left a valid table whose laws hold), exit 1 naming only laws of
+its report, or exit 2 with a one-line input error that names the
+rejected field.  It must never raise.
+
+The point count of an ``action`` input is not mutated: a large one is
+accepted and allocates a label per ordered pair of points before
+anything is checked.
 """
 
 import contextlib
@@ -24,11 +30,10 @@ from hyperq.hypergroupoid import check_hg_axioms, to_quantale
 from hyperq.io import load_input
 from hyperq.quantale import check_axioms
 
-FIXTURES = {}
-for _path in sorted(DATA.glob("*.json")):
-    _doc = json.loads(_path.read_text())
-    if _doc["kind"] == "abstract":
-        FIXTURES[_path.stem] = _doc
+FIXTURES = {_path.stem: json.loads(_path.read_text()) for _path in sorted(DATA.glob("*.json"))}
+# the top-level fields a mutation may reach, by kind; None for any
+MUTABLE = {"abstract": None, "action": ("generators",),
+           "coset": ("degree", "group_generators", "subgroups")}
 
 _spec, _ = load_input(str(DATA / "delta_abstract.json"))
 LAWS = {r.name for report in (check_axioms(to_quantale(_spec.weighted.base)),
@@ -39,7 +44,8 @@ LAWS = {r.name for report in (check_axioms(to_quantale(_spec.weighted.base)),
 # an input error names the field, record or table part it rejects
 FIELD_WORDS = re.compile(
     r"\b(field|schema|kind|units?|arrows?|unit_arrows|src|tgt|star|identity"
-    r"|comp|composition|composite|mu|left|right)\b")
+    r"|comp|composition|composite|mu|left|right"
+    r"|degree|generators?|group_generators|subgroups?)\b")
 
 
 def _paths(value, prefix=()):
@@ -57,6 +63,7 @@ def _names(doc):
     out = {"inf", "abstract", "action", "coset", "hyperq/1"}
     out.update(u for u in doc.get("units", []))
     out.update(rec["name"] for rec in doc.get("arrows", []))
+    out.update(rec["name"] for rec in doc.get("subgroups", []))
     return sorted(out)
 
 
@@ -64,11 +71,13 @@ def _names(doc):
 def mutated_tables(draw):
     name = draw(st.sampled_from(sorted(FIXTURES)))
     doc = json.loads(json.dumps(FIXTURES[name]))
-    path = draw(st.sampled_from(list(_paths(doc))))
+    fields = MUTABLE[doc["kind"]]
+    path = draw(st.sampled_from([p for p in _paths(doc) if fields is None or p[0] in fields]))
     # values a table could hold (names, small counts, lists of names),
     # then any JSON value
     names = st.sampled_from(_names(doc))
-    plausible = names | st.integers(-1, 3) | st.lists(names, max_size=3)
+    plausible = (names | st.integers(-1, 3) | st.lists(names, max_size=3)
+                 | st.lists(st.integers(-1, 3), max_size=4))
     strings = names | st.text(max_size=3)
     leaves = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
               | st.floats(allow_nan=False) | strings)
