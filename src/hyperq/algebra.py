@@ -33,75 +33,111 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
-from operator import itemgetter, mul as times
+from itertools import repeat
+from operator import add, itemgetter, mul as times
 
 from .checks import Check, Report
 from .errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from .extnat import INF, ExtNat, check_extnat, is_finite
-from .hypergroupoid import Hypergroupoid, is_simple
+from .hypergroupoid import Hypergroupoid, Rows, gatherer, is_simple, lazy
 
 Element = dict[int, object]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WeightedHypergroupoid:
     """A hypergroupoid with its structure constant table.
 
-    mu maps (a, g, g') to <a | g, g'> for every a in comp(g, g');
+    ``values[i]`` is <c | b, a> for row i = (b, a, c) of ``base.rows``;
     left[g] and right[g] are the declared weights (normally the derived
     values <e|g*,g> and <e'|g,g*>, but imported tables may disagree,
-    which validate_weights reports)."""
+    which validate_weights reports).  Callers pass either ``values`` or a
+    dict ``mu`` {(c, b, a): <c | b, a>}, checked entry by entry and
+    turned into values; a given ``mu`` wins, so
+    ``dataclasses.replace(W, mu=...)`` swaps the table.  ``mu`` is a
+    read-only dict view in row order, built on first access (a given
+    dict is its own view); callers must not mutate it."""
 
     base: Hypergroupoid
-    mu: dict[tuple[int, int, int], ExtNat]
+    values: Sequence[ExtNat] = field(repr=False)
     left: tuple[ExtNat, ...]
     right: tuple[ExtNat, ...]
 
-    def __post_init__(self):
-        H = self.base
-        if not len(self.left) == len(self.right) == H.n_arrows:
+    def __init__(self, base: Hypergroupoid,
+                 mu: Mapping[tuple[int, int, int], ExtNat] | None = None, *,
+                 left: tuple[ExtNat, ...], right: tuple[ExtNat, ...],
+                 values: Sequence[ExtNat] | None = None):
+        for name, value in (("base", base), ("left", left), ("right", right)):
+            object.__setattr__(self, name, value)
+        if not len(left) == len(right) == base.n_arrows:
             raise MalformedTable("left and right must have one weight per arrow")
-        for v in self.left + self.right:
+        for v in left + right:
             check_extnat(v)
-        comp = H.comp
-        for (a, g, gp), v in self.mu.items():
-            # a plain non-negative int is valid; bools and the rest are
-            # left to check_extnat
-            if v.__class__ is not int or v < 0:
+        if mu is not None:
+            values = mu_values(base, mu)
+            object.__setattr__(self, "mu", mu)
+        if len(values) != len(base.rows[2]):
+            raise MalformedTable("mu must have one value per composition row")
+        # plain non-negative ints pass at once; bools and the rest are
+        # left to check_extnat
+        if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
+            for v in values:
                 check_extnat(v)
-            cs = comp.get((g, gp))
-            if cs is None or a not in cs:
-                raise MalformedTable(f"mu entry ({a},{g},{gp}) outside the composition table")
-        # every mu key lies in comp, so mu is complete exactly when it has
-        # one entry per composite
-        if len(self.mu) != sum(map(len, comp.values())):
-            for (g, gp), cs in comp.items():
-                for a in cs:
-                    if (a, g, gp) not in self.mu:
-                        raise MalformedTable(f"mu missing entry ({a},{g},{gp})")
+        object.__setattr__(self, "values", values)
+
+    @lazy
+    def mu(self) -> dict[tuple[int, int, int], ExtNat]:
+        """(c, b, a) -> <c | b, a>, one entry per composite of each
+        composable pair."""
+        return mu_view(self.base.rows, self.values)
 
 
-def gatherer(idx):
-    """The function seq -> (seq[i] for i in idx) as a tuple, one C-level
-    ``itemgetter`` call.  ``itemgetter`` returns a bare item for a single
-    index and refuses none, so an ``idx`` that short takes a Python tuple."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda seq: tuple([seq[i] for i in idx])
+def mu_view(rows: Rows, values: Sequence[ExtNat]) -> dict[tuple[int, int, int], ExtNat]:
+    """The dict {(c, b, a): value} of a value column, in row order."""
+    b_, a_, c_ = rows
+    return dict(zip(zip(c_, b_, a_), values))
 
 
-def derived_weights(H: Hypergroupoid, mu) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
-    """Left/right weight vectors read off a mu table."""
-    left = []
-    right = []
-    for g in range(H.n_arrows):
-        e = H.unit_arrow[H.src[g]]
-        ep = H.unit_arrow[H.tgt[g]]
-        left.append(mu.get((e, H.star[g], g), 0))
-        right.append(mu.get((ep, g, H.star[g]), 0))
+def mu_values(H: Hypergroupoid, mu: Mapping[tuple[int, int, int], ExtNat]) -> list[ExtNat]:
+    """The value column of a mu dict on the rows of H.  MalformedTable
+    names the first entry, in dict order, outside the composition table,
+    then the first composite with no entry; a value that is no extended
+    natural raises as ``check_extnat`` does."""
+    comp = H.comp
+    for (a, g, gp), v in mu.items():
+        if v.__class__ is not int or v < 0:
+            check_extnat(v)
+        cs = comp.get((g, gp))
+        if cs is None or a not in cs:
+            raise MalformedTable(f"mu entry ({a},{g},{gp}) outside the composition table")
+    # every mu key lies in comp, so mu is complete exactly when it has
+    # one entry per composite
+    if len(mu) != len(H.rows[2]):
+        for (g, gp), cs in comp.items():
+            for a in cs:
+                if (a, g, gp) not in mu:
+                    raise MalformedTable(f"mu missing entry ({a},{g},{gp})")
+    b_, a_, c_ = H.rows
+    return list(map(mu.__getitem__, zip(c_, b_, a_)))
+
+
+def derived_weights(H: Hypergroupoid, values: Sequence[ExtNat]) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
+    """Left/right weight vectors read off the identity rows of a value
+    column.  |g|_l = <e|g*,g> and |g*|_r = <e|g*,g**> are one row,
+    (g*, g, e) with e the identity of src(g); both are 0 where it is
+    missing."""
+    b_, a_, _ = H.rows
+    star = H.star
+    left = [0] * H.n_arrows
+    right = [0] * H.n_arrows
+    for i in H.identity_rows:
+        b, a = b_[i], a_[i]
+        # the one identity that a composite of (a*, a) can be is that of src(a)
+        if b == star[a]:
+            left[a] = right[b] = values[i]
     return tuple(left), tuple(right)
 
 
@@ -114,13 +150,15 @@ _FAILURE_CAP = 20
 
 def _law(name: str, keys, lhs, rhs) -> Check:
     """The check of one law whose instances ``keys`` have the sides
-    ``lhs`` and ``rhs``, compared as two whole lists; only a mismatch
-    walks them for the first 20 failures as (key, lhs, rhs)."""
+    ``lhs`` and ``rhs``, compared as two whole lists.  Only a mismatch
+    reads ``keys`` and walks the sides, for the first 20 failures as
+    (key, lhs, rhs) in increasing key."""
     lhs, rhs = list(lhs), list(rhs)
     failures = ()
     if lhs != rhs:
-        failures = tuple(islice(((key, l, r) for key, l, r in zip(keys, lhs, rhs) if l != r),
-                                _FAILURE_CAP))
+        failures = tuple(sorted(
+            ((key, l, r) for key, l, r in zip(keys, lhs, rhs) if l != r),
+            key=itemgetter(0))[:_FAILURE_CAP])
     return Check(name, not failures, len(lhs), failures)
 
 
@@ -128,31 +166,44 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
     """Check the symmetry laws and the three weight identities, exactly,
     in extended natural arithmetic.  Each law's ``Check`` counts the
     instances it compared and keeps the first 20 failures as
-    (key, lhs, rhs).  The mu laws run over the sorted mu keys (a, g, g'),
-    murel-3 over the sorted composable pairs."""
-    H, mu, left, right = W.base, W.mu, W.left, W.right
+    (key, lhs, rhs).  The mu laws have the mu keys (a, g, g') as
+    instances, murel-3 the composable pairs.  The sides are read off the
+    rows and compared in row order; the mu entry a law pairs with a row
+    is found by its row key, and only failures are sorted by key."""
+    H, values, left, right = W.base, W.values, W.left, W.right
     arrows = range(H.n_arrows)
-    dleft, dright = derived_weights(H, mu)
-    keys = sorted(mu)
-    a_, g_, gp_ = (list(map(itemgetter(i), keys)) for i in range(3))
+    dleft, dright = derived_weights(H, values)
+    g_, gp_, a_ = H.rows
+    star = H.star
     at_a, at_g, at_gp = gatherer(a_), gatherer(g_), gatherer(gp_)
-    values = gatherer(keys)(mu)
+    get = dict(zip(H.keys, values)).get
+    # the key parts of b and of b*, per arrow b
+    high, mid = H.key_parts
+    at_star = gatherer(star)
+    high_star, mid_star = at_star(high), at_star(mid)
+
+    def entries(highs, mids, cs):
+        """<c | b, a> at the rows with key parts highs of b and mids of a,
+        and c, 0 off the table."""
+        return map(get, map(add, map(add, highs, mids), cs), repeat(0))
+
     # the murel-1 terms v |a|_l, summed per (g, g') by murel-3
     terms = list(map(times, values, at_a(left)))
-    totals = dict.fromkeys(sorted(H.comp), 0)
-    for pair, term in zip(zip(g_, gp_), terms):
-        totals[pair] += term
+    starts = H.pair_starts
+    at_pair = gatherer(starts)
+    pairs = list(zip(at_pair(g_), at_pair(gp_)))
+    totals = map(sum, map(terms.__getitem__, map(slice, starts, [*starts[1:], len(terms)])))
     return Report((
         _law("left-def", arrows, left, dleft),
         _law("right-def", arrows, right, dright),
-        _law("star-left", arrows, gatherer(H.star)(left), right),
-        _law("star-mu", keys, values,
-             map(mu.get, zip(at_a(H.star), at_gp(H.star), at_g(H.star)), repeat(0))),
-        _law("murel-1", keys, terms,
-             map(times, map(mu.get, zip(gp_, at_g(H.star), a_), repeat(0)), at_gp(left))),
-        _law("murel-2", keys, map(times, values, at_a(right)),
-             map(times, map(mu.get, zip(g_, a_, at_gp(H.star)), repeat(0)), at_g(right))),
-        _law("murel-3", totals, [left[g] * left[gp] for g, gp in totals], totals.values()),
+        _law("star-left", arrows, at_star(left), right),
+        _law("star-mu", zip(a_, g_, gp_), values,
+             entries(at_gp(high_star), at_g(mid_star), at_a(star))),
+        _law("murel-1", zip(a_, g_, gp_), terms,
+             map(times, entries(at_g(high_star), at_a(mid), gp_), at_gp(left))),
+        _law("murel-2", zip(a_, g_, gp_), map(times, values, at_a(right)),
+             map(times, entries(at_a(high), at_gp(mid_star), g_), at_g(right))),
+        _law("murel-3", pairs, [left[g] * left[gp] for g, gp in pairs], totals),
     ))
 
 
@@ -261,15 +312,14 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
     Only identity arrows contribute to eta, so with m(x, y) the sum of
     <e|x,y> over the identity arrows e, the left side is
     chi(q')^{-1} m(q, q') and the right side m(q', q).  Both vanish
-    unless m(q, q') or m(q', q) is non-zero, so one pass over the mu
-    entries at identity arrows finds every pair that can fail, and only
+    unless m(q, q') or m(q', q) is non-zero, so one pass over the
+    identity rows of the table finds every pair that can fail, and only
     those pairs are evaluated, in (q, q') order; every other pair holds
     as 0 = 0.  ``checked`` counts all pairs decided.  Pairs whose q' has
     no chi are skipped and not counted; those arrows are listed in
     ``chi_undefined``.  An infinite identity entry at a pair that is
     evaluated raises InfiniteCoefficient naming the first such pair."""
     H = W.base
-    units = set(H.unit_arrow)
     ratio = {}
     for g in range(H.n_arrows):
         try:
@@ -277,8 +327,10 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
         except (InfiniteCoefficient, ZeroWeight):
             pass
 
-    # comp(x, y) holds at most one identity arrow, so m(x, y) is one entry
-    mass = {(x, y): v for (a, x, y), v in W.mu.items() if a in units and v != 0}
+    # comp(x, y) holds at most one identity arrow, so m(x, y) is one row
+    x_, y_, _ = H.rows
+    values = W.values
+    mass = {(x_[i], y_[i]): values[i] for i in H.identity_rows if values[i] != 0}
     candidates = sorted({pair for x, y in mass for pair in ((x, y), (y, x))
                          if pair[1] in ratio})
     # every candidate is evaluated, past the failure cap too, so an
@@ -342,6 +394,7 @@ def adjoint_check(real) -> Report:
     "adjoint" check."""
     H = real.hypergroupoid
     n, mem = real.n_points, real.membership
+    left, right = derived_weights(H, real.values)
     results = []
     failures_const = []
     failures_adj = []
@@ -356,10 +409,7 @@ def adjoint_check(real) -> Report:
             continue
         lhs = col_counts.pop()   # <v, v'[g]> with v = 1_src, v' = 1_tgt
         rhs_count = row_counts.pop()   # <v[g*], v'>
-        e = H.unit_arrow[H.src[g]]
-        ep = H.unit_arrow[H.tgt[g]]
-        left_mu = real.mu.get((e, H.star[g], g), 0)
-        right_mu = real.mu.get((ep, g, H.star[g]), 0)
+        left_mu, right_mu = left[g], right[g]
         checked += 1
         if right_mu == 0 or lhs != Fraction(left_mu, right_mu) * rhs_count:
             failures_adj.append((g, lhs, left_mu, right_mu, rhs_count))

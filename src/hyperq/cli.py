@@ -17,13 +17,12 @@ import math
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from . import __version__
 from .algebra import chi, convolve_ext, kms_check, sigma, validate_weights
 from .errors import HyperqError, InfiniteCoefficient, SchemaError, ZeroWeight
 from .extnat import INF, extnat_to_json
-from .hypergroupoid import check_hg_axioms, to_quantale
+from .hypergroupoid import check_hg_axioms, gatherer, to_quantale
 from .io import format_complex, format_element, load_input, parse_element
 from .quantale import check_axioms, site
 from .realization import orbit_atoms, weights
@@ -107,20 +106,24 @@ def _encode(value, nl: str, write):
 _MU_RECORD = '    {\n      "a": %s,\n      "g": %s,\n      "gp": %s,\n      "value": %s\n    }'
 
 
-def _mu_chunks(names, mu: dict, keys: list) -> Iterator[str]:
+def _mu_chunks(names, mu_rows) -> Iterator[str]:
     """The ``mu`` array of the algebra report, encoded for ``_emit_json``:
-    one record per key (a, g, g'), written from one template without
-    building the dicts."""
-    if not keys:
-        yield "[]"
-        return
+    one record per row (g, g', a, value), written from one template
+    without building the dicts."""
     enc = [encode_basestring_ascii(name) for name in names]
     sep = "[\n"
-    for a, g, gp in keys:
-        v = mu[(a, g, gp)]
+    for g, gp, a, v in mu_rows:
         yield sep + _MU_RECORD % (enc[a], enc[g], enc[gp], '"inf"' if v is INF else v)
         sep = ",\n"
-    yield "\n  ]"
+    yield "[]" if sep == "[\n" else "\n  ]"
+
+
+def _mu_rows(W) -> Iterator[tuple]:
+    """(g, g', a, <a|g,g'>) for every structure constant, by g, g' and
+    a: the rows, which run by src(g), g, g' and a, stably reordered by g."""
+    g_, gp_, a_ = W.base.rows
+    at = gatherer(sorted(range(len(a_)), key=g_.__getitem__))
+    return zip(at(g_), at(gp_), at(a_), at(W.values))
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -191,7 +194,7 @@ def cmd_algebra(args) -> int:
     H, W = ctx.base, ctx.weighted
     wrows = [[H.arrow_names[g], str(W.left[g]), str(W.right[g]), _chi_str(W, g)]
              for g in range(H.n_arrows)]
-    mu_keys = sorted(W.mu, key=itemgetter(1, 2, 0))
+    mu_rows = _mu_rows(W)
     if args.format == "json":
         payload = {
             "atoms": [{"id": r[0], "src": r[1], "tgt": r[2], "star": r[3]}
@@ -199,7 +202,7 @@ def cmd_algebra(args) -> int:
             "weights": [{"id": r[0], "left": extnat_to_json(W.left[g]),
                          "right": extnat_to_json(W.right[g]), "chi": r[3]}
                         for g, r in enumerate(wrows)],
-            "mu": _mu_chunks(H.arrow_names, W.mu, mu_keys),
+            "mu": _mu_chunks(H.arrow_names, mu_rows),
         }
         _emit_json(ctx.report("algebra", payload))
     else:
@@ -210,8 +213,8 @@ def cmd_algebra(args) -> int:
         lines.append("")
         lines += _table(
             ["g", "gp", "a", "mu"],
-            [[H.arrow_names[g], H.arrow_names[gp], H.arrow_names[a],
-              str(W.mu[(a, g, gp)])] for (a, g, gp) in mu_keys])
+            [[H.arrow_names[g], H.arrow_names[gp], H.arrow_names[a], str(v)]
+             for g, gp, a, v in mu_rows])
         _emit(lines)
     return 0
 

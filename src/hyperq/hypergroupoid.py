@@ -21,11 +21,11 @@ atoms absorbing it on each side (NotModular when resolution fails).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import or_
+from itertools import compress, islice, repeat
+from operator import add, gt, itemgetter, lt, mul, ne, or_, sub
 
 from .checks import Report, first_failure
 from .errors import MalformedTable, NotModular
@@ -33,41 +33,183 @@ from .quantale import AtomicQuantale
 
 EMPTY: frozenset[int] = frozenset()
 
+Rows = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
-@dataclass(frozen=True, eq=False)
+
+def gatherer(idx):
+    """The function seq -> (seq[i] for i in idx) as a tuple, one C-level
+    ``itemgetter`` call.  ``itemgetter`` returns a bare item for a single
+    index and refuses none, so an ``idx`` that short takes a Python tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple([seq[i] for i in idx])
+
+
+class lazy:
+    """A read-only attribute built by the decorated method on first access
+    and then stored on the instance, where later reads find it.  Unlike
+    ``functools.cached_property`` it takes no lock and stores through
+    ``object.__setattr__``, so the instance keeps no materialized
+    ``__dict__`` and its other attributes stay as fast to read."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
+def pair_starts(rows: Rows) -> list[int]:
+    """The first row of each pair (b, a) of ``rows``, in row order."""
+    b_, a_, _ = rows
+    if not len(b_):
+        return []
+    return [0, *compress(range(1, len(b_)), map(
+        or_, map(ne, islice(b_, 1, None), b_), map(ne, islice(a_, 1, None), a_)))]
+
+
+def comp_view(rows: Rows, n_arrows: int) -> dict[tuple[int, int], frozenset[int]]:
+    """The composition sets of ``rows`` as a dict {(b, a): set}: pairs in
+    row order, equal sets one frozenset."""
+    b_, a_, c_ = rows
+    single = [frozenset((c,)) for c in range(n_arrows)]
+    # each pair first takes the singleton of its last row; only the pairs
+    # of two or more rows are then read whole
+    comp = dict(zip(zip(b_, a_), gatherer(c_)(single)))
+    if len(comp) < len(c_):
+        starts = pair_starts(rows)
+        ends = [*starts[1:], len(c_)]
+        shared: dict[tuple[int, ...], frozenset[int]] = {}
+        for i in compress(range(len(starts)), map(gt, map(sub, ends, starts), repeat(1))):
+            s = starts[i]
+            cs = tuple(c_[s:ends[i]])
+            comp[b_[s], a_[s]] = shared.get(cs) or shared.setdefault(cs, frozenset(cs))
+    return comp
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Hypergroupoid:
+    """Arrows between units with an involution, identity arrows and a
+    composition table.
+
+    The table is ``rows``: int columns (b, a, c), one row per composite c
+    of each composable pair (b, a), in strictly increasing ``keys``
+    (rank(b) n + a) n + c, b ranked by (src(b), b).  Callers pass either
+    ``rows``, checked whole columns at a time, or a dict ``comp``
+    {(b, a): composition set}, checked entry by entry and turned into
+    rows; a given ``comp`` wins, so ``dataclasses.replace(H, comp=...)``
+    swaps the table.  ``comp`` is a read-only dict view in row order,
+    equal sets one frozenset, built on first access (a given dict is its
+    own view); callers must not mutate it.  ``identity_rows``, the rows
+    whose composite is an identity arrow, are all that the weights and
+    the KMS check read."""
+
     unit_names: tuple[str, ...]
     arrow_names: tuple[str, ...]
     src: tuple[int, ...]
     tgt: tuple[int, ...]
     star: tuple[int, ...]
     unit_arrow: tuple[int, ...]
-    # (b, a) -> composition set, present exactly for composable pairs
-    comp: dict[tuple[int, int], frozenset[int]] = field(repr=False)
+    rows: Rows = field(repr=False)
+    identity_rows: list[int] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, unit_names, arrow_names, src, tgt, star, unit_arrow,
+                 comp: Mapping[tuple[int, int], frozenset[int]] | None = None,
+                 rows: Rows | None = None):
         # explicit raises, not asserts: check_hg_axioms indexes comp and
-        # aligns rows on composite typing, so it relies on these under -O
-        nu, na = len(self.unit_names), len(self.arrow_names)
-        src, tgt, star = self.src, self.tgt, self.star
+        # aligns rows on composite typing, so it relies on these under -O.
+        # Attributes are set as a frozen dataclass's __init__ sets them,
+        # which keeps them out of a materialized __dict__ and fast to read
+        for name, value in (("unit_names", unit_names), ("arrow_names", arrow_names),
+                            ("src", src), ("tgt", tgt), ("star", star),
+                            ("unit_arrow", unit_arrow)):
+            object.__setattr__(self, name, value)
+        nu, na = len(unit_names), len(arrow_names)
         if not len(src) == len(tgt) == len(star) == na:
             raise MalformedTable("src, tgt and star must have one entry per arrow")
-        if len(self.unit_arrow) != nu:
+        if len(unit_arrow) != nu:
             raise MalformedTable("unit_arrow must have one entry per unit")
-        hom: dict[tuple[int, int], set[int]] = {}
         for g in range(na):
             s = star[g]
             if star[s] != g:
                 raise MalformedTable("star must be an involution")
             if src[s] != tgt[g] or tgt[s] != src[g]:
                 raise MalformedTable(f"star of arrow {g} must swap its source and target")
-            hom.setdefault((src[g], tgt[g]), set()).add(g)
-        for e, i in enumerate(self.unit_arrow):
+        for e, i in enumerate(unit_arrow):
             if src[i] != e or tgt[i] != e or star[i] != i:
                 raise MalformedTable(
                     f"identity arrow {i} of unit {e} must be a self-adjoint loop at {e}")
+        if comp is None:
+            object.__setattr__(self, "rows", rows)
+            if not self._rows_hold():
+                # name the first fault as the dict check does; rows out of
+                # order are the one fault a dict cannot have
+                sets: dict[tuple[int, int], set[int]] = {}
+                for b, a, c in zip(*rows):
+                    sets.setdefault((b, a), set()).add(c)
+                self._check_comp(sets)
+                raise MalformedTable("composition rows must strictly increase by src(b), b, a, c")
+        else:
+            # a dict is checked entry by entry, and its rows come out in order
+            self._check_comp(comp)
+            pairs = sorted(comp, key=lambda p: (src[p[0]], p))
+            rows = tuple(zip(*[(b, a, c) for b, a in pairs
+                               for c in sorted(comp[b, a])])) or ((), (), ())
+            object.__setattr__(self, "comp", comp)
+            object.__setattr__(self, "rows", rows)
+        is_unit = [False] * na
+        for i in unit_arrow:
+            is_unit[i] = True
+        c_ = self.rows[2]
+        object.__setattr__(self, "identity_rows",
+                           list(compress(range(len(c_)), gatherer(c_)(is_unit))))
+
+    def _rows_hold(self) -> bool:
+        """Whether the rows are arrow ids, each pair composable with each
+        composite in hom(src a, tgt b), in strictly increasing key, with
+        every composable pair among them; keeps the ``keys`` it computes.
+        Whole columns at a time."""
+        b_, a_, c_ = self.rows
+        src, tgt = self.src, self.tgt
+        if not len(b_) == len(a_) == len(c_):
+            return False
+        pairs = set()
+        if c_:
+            if min(b_) < 0 or min(a_) < 0 or min(c_) < 0:
+                return False
+            at_b, at_a, at_c = gatherer(b_), gatherer(a_), gatherer(c_)
+            try:
+                if not (at_b(src) == at_a(tgt) and at_c(src) == at_a(src)
+                        and at_c(tgt) == at_b(tgt)):
+                    return False
+            except IndexError:
+                return False
+            high, mid = self.key_parts
+            keys = list(map(add, map(add, at_b(high), at_a(mid)), c_))
+            if not all(map(lt, keys, islice(keys, 1, None))):
+                return False
+            object.__setattr__(self, "keys", keys)
+            # key - c is the pair's part of the key
+            pairs = set(map(sub, keys, c_))
+        return len(pairs) == self._composable_pairs()
+
+    def _check_comp(self, comp):
+        """MalformedTable naming the first fault of a comp dict, entry by
+        entry in its order, then the first missing composable pair."""
+        na, src, tgt = self.n_arrows, self.src, self.tgt
+        hom: dict[tuple[int, int], set[int]] = {}
+        for g in range(na):
+            hom.setdefault((src[g], tgt[g]), set()).add(g)
         untyped: set[int] = set()
-        for (b, a), cs in self.comp.items():
+        for (b, a), cs in comp.items():
             if not (0 <= b < na and 0 <= a < na):
                 raise MalformedTable(f"comp key ({b},{a}) is not a pair of arrow ids")
             if src[b] != tgt[a]:
@@ -81,12 +223,46 @@ class Hypergroupoid:
                     f"composite {c} of ({b},{a}) lands outside hom({src[a]},{tgt[b]})")
         # the keys are distinct composable pairs of arrow ids, so comp is
         # complete exactly when it has one key per composable pair
-        by_src, by_tgt = Counter(src), Counter(tgt)
-        if len(self.comp) != sum(k * by_tgt[u] for u, k in by_src.items()):
+        if len(comp) != self._composable_pairs():
             for b in range(na):
                 for a in range(na):
-                    if self.composable(b, a) and (b, a) not in self.comp:
+                    if self.composable(b, a) and (b, a) not in comp:
                         raise MalformedTable(f"missing composition set for ({b},{a})")
+
+    def _composable_pairs(self) -> int:
+        """The number of pairs (b, a) with src(b) = tgt(a): over the units
+        u, #{b | src(b) = u} times #{a | tgt(a) = u}."""
+        units = range(self.n_units)
+        return sum(map(mul, map(self.src.count, units), map(self.tgt.count, units)))
+
+    @lazy
+    def key_parts(self) -> tuple[list[int], list[int]]:
+        """(high, mid): row (b, a, c) has the key high[b] + mid[a] + c,
+        where high[b] = rank(b) n**2, rank(b) the place of b in the order
+        by (src(b), b), and mid[a] = a n."""
+        n = self.n_arrows
+        high = [0] * n
+        for r, b in enumerate(sorted(range(n), key=self.src.__getitem__)):
+            high[b] = r * n * n
+        return high, [a * n for a in range(n)]
+
+    @lazy
+    def keys(self) -> list[int]:
+        """The key of each row; the rows are checked in key order, and
+        kept there."""
+        b_, a_, c_ = self.rows
+        high, mid = self.key_parts
+        return list(map(add, map(add, gatherer(b_)(high), gatherer(a_)(mid)), c_))
+
+    @lazy
+    def pair_starts(self) -> list[int]:
+        """The first row of each composable pair, in row order."""
+        return pair_starts(self.rows)
+
+    @lazy
+    def comp(self) -> dict[tuple[int, int], frozenset[int]]:
+        """(b, a) -> composition set, exactly for the composable pairs."""
+        return comp_view(self.rows, self.n_arrows)
 
     @property
     def n_units(self) -> int:

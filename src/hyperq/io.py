@@ -23,10 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import WeightedHypergroupoid, derived_weights
+from .algebra import WeightedHypergroupoid, derived_weights, mu_values
 from .errors import MalformedTable, SchemaError
 from .extnat import INF, ExtNat, extnat_from_json
 from .hypergroupoid import Hypergroupoid
@@ -80,6 +81,10 @@ def parse_input(obj: dict) -> InputSpec:
     try:
         if kind == "action":
             points = _count(obj, "points")
+            # one label per ordered pair of points, in one flat list
+            if points * points > sys.maxsize:
+                raise SchemaError(f"field 'points' is too large: {points} points have more "
+                                  f"ordered pairs than a list can hold")
             action = PermAction(points, _perm_list(obj, "generators"))
             return InputSpec(name=name, kind=kind, action=action)
         if kind == "coset":
@@ -166,15 +171,19 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
             raise SchemaError(f"duplicate mu record for {rec}")
         mu[key] = extnat("value", _require(rec, "value", None))
 
-    left, right = derived_weights(H, mu)
-    if "left" in obj or "right" in obj:
-        left, right = list(left), list(right)
-        for field, vec in (("left", left), ("right", right)):
-            overrides = _require(obj, field, dict) if field in obj else {}
-            for nm, v in overrides.items():
+    # the overrides are read before the table is checked
+    overrides: dict[str, dict[int, ExtNat]] = {}
+    for field in ("left", "right"):
+        if field in obj:
+            vec = overrides[field] = {}
+            for nm, v in _require(obj, field, dict).items():
                 vec[arrow(nm)] = extnat(field, v)
-        left, right = tuple(left), tuple(right)
-    return WeightedHypergroupoid(base=H, mu=mu, left=left, right=right)
+    values = mu_values(H, mu)
+    left, right = derived_weights(H, values)
+    if overrides:
+        left, right = (tuple(overrides.get(field, {}).get(g, w) for g, w in enumerate(vec))
+                       for field, vec in (("left", left), ("right", right)))
+    return WeightedHypergroupoid(base=H, values=values, left=left, right=right)
 
 
 def load_input(path: str) -> tuple[InputSpec, str]:

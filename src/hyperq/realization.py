@@ -28,26 +28,29 @@ coherent configuration formed by the pair orbits (D. G. Higman,
 *Coherent configurations*, 1975).  The orbit labels live in one flat
 list indexed x*n + y, and the constants are read off as one histogram
 per arrow a: scanning t along the row of x and the column of y yields
-every pair (g, g') whose composite meets a, with its count.  Left and
-right weights of an arrow are its column and row counts:
+every pair (g, g') whose composite meets a, with its count.  The counts
+are kept as flat columns, the hypergroupoid's rows (g, g', a) and a
+value column beside them; the dicts ``mu`` and ``comp`` are views built
+only when read.  Left and right weights of an arrow are its column and
+row counts:
 
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
 
-``weights`` returns that table, not a copy, with the left/right vectors
-as a weighted hypergroupoid ready for the convolution algebra.
+``weights`` returns that value column, not a copy, with the left/right
+vectors as a weighted hypergroupoid ready for the convolution algebra.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import chain, repeat
 from operator import add
 
-from .algebra import WeightedHypergroupoid, derived_weights, gatherer
+from .algebra import WeightedHypergroupoid, derived_weights, mu_view
 from .errors import HyperqError, OrderBoundExceeded
-from .hypergroupoid import Hypergroupoid
+from .hypergroupoid import Hypergroupoid, comp_view, gatherer, lazy
 
 Perm = tuple[int, ...]
 
@@ -236,8 +239,9 @@ class ConcreteRealization:
 
     membership[x * n_points + y] is the arrow id of the orbit through
     (x, y); representative[g] is the least pair of orbit g in
-    lexicographic order; mu maps (c, b, a) to <c | b, a> for every
-    composite c of every composable pair (b, a)."""
+    lexicographic order; values[i] is <c | b, a> for row i = (b, a, c)
+    of the hypergroupoid's rows, and ``mu`` is the read-only dict view
+    (c, b, a) -> <c | b, a> of that column, built on first access."""
 
     action: PermAction
     hypergroupoid: Hypergroupoid
@@ -246,7 +250,11 @@ class ConcreteRealization:
     membership: list[int] = field(repr=False)
     representative: tuple[tuple[int, int], ...]
     orbit_size: tuple[int, ...]
-    mu: dict[tuple[int, int, int], int] = field(repr=False)
+    values: tuple[int, ...] = field(repr=False)
+
+    @lazy
+    def mu(self) -> dict[tuple[int, int, int], int]:
+        return mu_view(self.hypergroupoid.rows, self.values)
 
     @property
     def n_points(self) -> int:
@@ -344,7 +352,7 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     tgt = tuple(point_orbit[x] for (x, _) in reps)
     star = tuple(membership[y * n + x] for (x, y) in reps)
     unit_arrow = tuple(membership[pts[0] * (n + 1)] for pts in unit_points)
-    mu, comp = _pair_products(membership, n, reps, src)
+    rows, values = _pair_rows(membership, n, reps, src)
 
     H = Hypergroupoid(
         unit_names=tuple(f"u{k}" for k in range(len(unit_points))),
@@ -353,7 +361,7 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
         tgt=tgt,
         star=star,
         unit_arrow=unit_arrow,
-        comp=comp,
+        rows=rows,
     )
     return ConcreteRealization(
         action=action,
@@ -363,12 +371,12 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
         membership=membership,
         representative=tuple(reps),
         orbit_size=tuple(sizes),
-        mu=mu,
+        values=values,
     )
 
 
-def _pair_products(membership, n, reps, src):
-    """Intersection numbers of the pair orbits, and the composition sets.
+def _pair_rows(membership, n, reps, src):
+    """Intersection numbers of the pair orbits, as composition rows.
 
     For an arrow c with representative (x, y), the middle points t give
     the pairs (membership[x*n + t], membership[t*n + y]) = (b, a), and
@@ -376,42 +384,39 @@ def _pair_products(membership, n, reps, src):
     p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
     configurations*, 1975).  Each arrow's pairs are counted by one
     ``Counter`` over the integer keys rank(b)*k + a, where b is ranked by
-    (src[b], b), arrows taken in increasing c.  Two flat lists indexed by
-    key hold each pair's first composite and count, ``more`` the further
-    [c, v, ...] of a pair with two or more.  One sweep in key order writes
-    mu and comp by src[b], then b, then a, then increasing c, with no
-    sort.  Returns (mu, comp); equal composition sets are one frozenset."""
+    (src[b], b), and its keys, counts and c extend three flat columns.
+    One stable sort by key then orders the rows by src[b], b, a and, as
+    arrows are taken in increasing c, c.  Returns the rows (b, a, c) and
+    the value column <c | b, a>."""
     k = len(reps)
     order = sorted(range(k), key=src.__getitem__)
     rank = sorted(range(k), key=order.__getitem__)   # the inverse of order
     rows: dict[int, list[int]] = {}
-    first_c, first_v = [0] * (k * k), [0] * (k * k)
-    more: dict[int, list[int]] = {}
+    keys: list[int] = []
+    cs: list[int] = []
+    values: list[int] = []
     for c, (x, y) in enumerate(reps):
         row = rows.get(x)
         if row is None:
             row = rows[x] = [rank[b] * k for b in membership[x * n:(x + 1) * n]]
-        for key, v in Counter(map(add, row, membership[y::n])).items():
-            if first_v[key]:
-                more.setdefault(key, []).extend((c, v))
-            else:
-                first_c[key], first_v[key] = c, v
-    single = [frozenset((c,)) for c in range(k)]
-    shared: dict[tuple[int, ...], frozenset[int]] = {}
-    mu, comp = {}, {}
-    for key in compress(range(k * k), first_v):
-        r, a = divmod(key, k)
-        b, c = order[r], first_c[key]
-        mu[c, b, a] = first_v[key]
-        extra = more.get(key)
-        if extra is None:
-            comp[b, a] = single[c]
-        else:
-            for i in range(0, len(extra), 2):
-                mu[extra[i], b, a] = extra[i + 1]
-            cs = (c, *extra[::2])
-            comp[b, a] = shared.get(cs) or shared.setdefault(cs, frozenset(cs))
-    return mu, comp
+        counts = Counter(map(add, row, membership[y::n]))
+        keys += counts
+        values += counts.values()
+        cs += repeat(c, len(counts))
+    at = gatherer(sorted(range(len(keys)), key=keys.__getitem__))
+    at_key = gatherer(at(keys))
+    # the b and a of each key rank(b)*k + a
+    b_of = list(chain.from_iterable(map(repeat, order, repeat(k))))
+    a_of = list(range(k)) * k
+    return (at_key(b_of), at_key(a_of), at(cs)), at(values)
+
+
+def _pair_products(membership, n, reps, src):
+    """The mu and comp dicts of ``_pair_rows``, which ``orbit_atoms``
+    leaves to the views of its tables: mu maps (c, b, a) to <c | b, a>
+    and comp (b, a) to its composition set, both in row order."""
+    rows, values = _pair_rows(membership, n, reps, src)
+    return mu_view(rows, values), comp_view(rows, len(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +445,8 @@ def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = 
 
 
 def weights(real: ConcreteRealization) -> WeightedHypergroupoid:
-    """The realized structure constant table, not a copy, with weights."""
-    left, right = derived_weights(real.hypergroupoid, real.mu)
+    """The realized value column, not a copy, with the weights read off
+    its identity rows."""
+    left, right = derived_weights(real.hypergroupoid, real.values)
     return WeightedHypergroupoid(
-        base=real.hypergroupoid, mu=real.mu, left=left, right=right)
+        base=real.hypergroupoid, values=real.values, left=left, right=right)

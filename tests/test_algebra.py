@@ -17,12 +17,14 @@ from hyperq.algebra import (
     adjoint_check,
     chi,
     convolve_ext,
+    derived_weights,
     e_basis,
     eta,
     is_locally_finite,
     kms_check,
     left_finite_witness,
     mu_semisimple,
+    mu_values,
     mul,
     sigma,
     sigma_imag,
@@ -31,7 +33,7 @@ from hyperq.algebra import (
 )
 from hyperq.errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from hyperq.extnat import INF
-from hyperq.hypergroupoid import from_quantale, to_quantale
+from hyperq.hypergroupoid import Hypergroupoid, from_quantale, to_quantale
 from hyperq.io import load_input
 from hyperq.realization import count_mu, enumerate_group, perm_inv, perm_mul
 
@@ -106,6 +108,39 @@ def test_malformed_mu_tables_are_refused(w_cosets, change, error, message):
         WeightedHypergroupoid(base=w_cosets.base, mu=mu,
                               left=w_cosets.left, right=w_cosets.right)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    pytest.param(lambda v: v.pop(), MalformedTable,
+                 "mu must have one value per composition row", id="short"),
+    pytest.param(lambda v: v.__setitem__(2, True), TypeError,
+                 "not an extended natural: True", id="bool"),
+    pytest.param(lambda v: v.__setitem__(2, -1), ValueError,
+                 "extended naturals are nonnegative, got -1", id="negative"),
+])
+def test_malformed_value_columns_are_refused(w_cosets, edit, error, message):
+    values = list(w_cosets.values)
+    edit(values)
+    with pytest.raises(error) as info:
+        WeightedHypergroupoid(base=w_cosets.base, values=values,
+                              left=w_cosets.left, right=w_cosets.right)
+    assert str(info.value) == message
+
+
+def test_derived_weights_read_only_the_rows_of_star_pairs():
+    # one unit e and g* = h, with the identity in every product of g and
+    # h: |a|_l = <e|a*,a> and |b|_r = <e|b,b*> whatever <e|g,g> and
+    # <e|h,h> are
+    H = Hypergroupoid(
+        unit_names=("u",), arrow_names=("e", "g", "h"), src=(0, 0, 0), tgt=(0, 0, 0),
+        star=(0, 2, 1), unit_arrow=(0,),
+        comp={(b, a): frozenset((a,)) if b == 0 else frozenset((b,)) if a == 0
+              else frozenset((0,)) for b in range(3) for a in range(3)})
+    mu = {(next(iter(cs)), b, a): 1 for (b, a), cs in H.comp.items()}
+    mu.update({(0, 1, 1): 5, (0, 2, 2): 7, (0, 2, 1): 2, (0, 1, 2): 3})
+    left, right = derived_weights(H, mu_values(H, mu))
+    assert left == (1, mu[0, 2, 1], mu[0, 1, 2])
+    assert right == (1, mu[0, 1, 2], mu[0, 2, 1])
 
 
 def test_bad_mu_fixture_fails_only_the_sum_identity():

@@ -53,7 +53,8 @@ NAMES = ("e", 'say "hi"', "back\\slash", "é", "α→β", "𝔤", "line\nbreak",
 
 def _mu_case(keys, values):
     mu = dict(zip(keys, values))
-    encoded = {"command": "algebra", "mu": cli._mu_chunks(NAMES, mu, keys),
+    rows = [(g, gp, a, mu[a, g, gp]) for a, g, gp in keys]
+    encoded = {"command": "algebra", "mu": cli._mu_chunks(NAMES, rows),
                "weights": [{"id": NAMES[1], "chi": "-"}], "ok": True}
     plain = {**encoded, "mu": [{"a": NAMES[a], "g": NAMES[g], "gp": NAMES[gp],
                                 "value": extnat_to_json(mu[(a, g, gp)])}

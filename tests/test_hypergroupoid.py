@@ -160,6 +160,68 @@ def test_composites_must_be_typed_arrows(real_mixed, composite, message):
     assert str(info.value) == message
 
 
+def _with_rows(H, edit):
+    """H with its rows edited as three lists: edit(b, a, c) changes them
+    in place."""
+    b_, a_, c_ = map(list, H.rows)
+    edit(b_, a_, c_)
+    return dataclasses.replace(H, rows=(b_, a_, c_))
+
+
+def _drop_last_pair(*columns):
+    b_, a_, _ = columns
+    last = (b_[-1], a_[-1])
+    while (b_[-1], a_[-1]) == last:
+        for col in columns:
+            col.pop()
+
+
+def _swap_rows(i, j):
+    def edit(*columns):
+        for col in columns:
+            col[i], col[j] = col[j], col[i]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda b, a, c: c.__setitem__(0, 12),
+                 "composite 12 of (0,0) lands outside hom(0,0)", id="untyped"),
+    pytest.param(lambda b, a, c: c.__setitem__(0, 6),
+                 "composite 6 of (0,0) lands outside hom(0,0)", id="composite-from-unit-1"),
+    pytest.param(lambda b, a, c: c.__setitem__(0, 9),
+                 "composite 9 of (0,0) lands outside hom(0,0)", id="composite-into-unit-1"),
+    pytest.param(lambda b, a, c: c.__setitem__(0, 14),
+                 "composite 14 of (0,0) lands outside hom(0,0)", id="composite-past-the-ids"),
+    pytest.param(lambda b, a, c: a.__setitem__(0, -1),
+                 "comp key (0,-1) is not a pair of arrow ids", id="negative-id"),
+    pytest.param(lambda b, a, c: a.__setitem__(0, 12),
+                 "comp defined on non-composable pair (0,12)", id="not-composable"),
+    pytest.param(_drop_last_pair, "missing composition set for (13,13)", id="missing-pair"),
+    pytest.param(lambda b, a, c: c.pop(), "composition rows must strictly increase by "
+                 "src(b), b, a, c", id="short-column"),
+    pytest.param(_swap_rows(0, 1), "composition rows must strictly increase by "
+                 "src(b), b, a, c", id="out-of-order"),
+    pytest.param(lambda b, a, c: [col.insert(0, col[0]) for col in (b, a, c)],
+                 "composition rows must strictly increase by src(b), b, a, c",
+                 id="repeated-row"),
+])
+def test_malformed_rows_are_refused(real_mixed, edit, message):
+    # rows are checked whole columns at a time; a fault is named as the
+    # dict check names it, and the faults a dict cannot have by the
+    # one row-order message
+    with pytest.raises(MalformedTable) as info:
+        _with_rows(real_mixed.hypergroupoid, edit)
+    assert str(info.value) == message
+
+
+def test_rows_and_dict_give_one_table(all_realized):
+    for real in all_realized.values():
+        H = real.hypergroupoid
+        again = dataclasses.replace(H, comp=dict(H.comp))
+        assert again.rows == H.rows and again.keys == H.keys
+        assert dataclasses.replace(H, rows=H.rows).comp == H.comp
+
+
 def test_composition_star_reversal(all_realized):
     # comp(b, a)* = comp(a*, b*) elementwise
     for real in all_realized.values():

@@ -8,6 +8,7 @@ down byte determinism.
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -485,6 +486,9 @@ def test_no_warnings_in_development_mode(tmp_path):
         ["--version"],
         ["algebra", str(FILES["trivial2"]), "--format", "json"],
         ["check", str(point)],
+        # abstract tables: the mu dict turned into the value column
+        ["kms", str(FILES["delta_abstract"])],
+        ["algebra", str(DATA / "inf_abstract.json"), "--format", "json"],
         ["bogus"],
         ["evolve", path, "--element", "[a1]"],  # no --t
     ]
@@ -492,7 +496,7 @@ def test_no_warnings_in_development_mode(tmp_path):
         [sys.executable, "-X", "dev", "-W", "error", "-m", "hyperq.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for argv in calls]
     errs = [proc.communicate()[1] for proc in procs]
-    assert [proc.returncode for proc in procs] == [0] * 10 + [2, 2]
+    assert [proc.returncode for proc in procs] == [0] * 12 + [2, 2]
     for argv, err in zip(calls, errs):
         assert "Warning" not in err and "Traceback" not in err, (argv, err)
 
@@ -561,6 +565,14 @@ def _coset(**fields):
                  id="negative_points"),
     pytest.param(_action(points=True), "field 'points' must be int, got bool",
                  id="true_points"),
+    # more ordered pairs than a list can hold: refused before anything is
+    # allocated, where it used to end in an OverflowError traceback
+    pytest.param(_action(points=10 ** 20), "field 'points' is too large: "
+                 f"{10 ** 20} points have more ordered pairs than a list can hold",
+                 id="huge_points"),
+    pytest.param(_action(points=math.isqrt(sys.maxsize) + 1), "field 'points' is too large: "
+                 f"{math.isqrt(sys.maxsize) + 1} points have more ordered pairs than a list "
+                 "can hold", id="least_refused_points"),
     pytest.param(_action(generators=[[True, 0]]), "generators entries must be integer arrays",
                  id="true_generator_entry"),
     pytest.param(_coset(degree=-1, group_generators=[],

@@ -45,10 +45,6 @@ def modular_oracle(Q, action):
     n = lat.size
     results = []
 
-    bad = next(((m,) for m in range(n)
-                if action.act(m, frozenset()) != lat.bottom), None)
-    results.append(first_failure("bottom", bad))
-
     bil = next((
         (lat.bottom, j) for j in range(Q.n_atoms)
         if action.table[lat.bottom][j] != lat.bottom), None)
