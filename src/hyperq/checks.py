@@ -44,7 +44,7 @@ class Report:
         return tuple(r for r in self.results if not r.passed)
 
 
-def first_failure(name: str, found, note: str = "") -> Check:
-    """The check of a search that stops at its first failing instance
-    ``found``, or passes when ``found`` is None."""
-    return Check(name, found is None, failures=() if found is None else (found,), note=note)
+def first_failure(name: str, found, note: str = "", checked: int = 0) -> Check:
+    """The check of a search over ``checked`` instances that stops at its
+    first failing instance ``found``, or passes when ``found`` is None."""
+    return Check(name, found is None, checked, () if found is None else (found,), note)

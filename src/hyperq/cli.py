@@ -3,9 +3,12 @@
 Every command loads one JSON input file (see the io module for the
 schema), runs part of the pipeline and prints either a fixed-width table
 or a JSON report (--format json).  Output is deterministic: identical
-input and flags produce identical bytes.  Exit status is 0 when all
+input and flags produce identical bytes.  ``algebra`` writes its table of
+structure constants one arrow g at a time, from text formatted once per
+arrow name and per value, so beyond the table itself it holds one
+arrow's rows of output at a time.  Exit status is 0 when all
 requested checks pass, 1 when a check fails (the failing check is named
-on stderr) and 2 for schema or usage problems.
+on stderr) and 2 for an unreadable input, schema or usage problems.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import json
 import math
 import sys
 from collections.abc import Iterator
+from itertools import chain, compress, islice, pairwise
 from json.encoder import encode_basestring_ascii
+from operator import ne
 
 from . import __version__
 from .algebra import chi, convolve_ext, kms_check, sigma, validate_weights
 from .errors import HyperqError, InfiniteCoefficient, SchemaError, ZeroWeight
 from .extnat import INF, extnat_to_json
-from .hypergroupoid import check_hg_axioms, gatherer, to_quantale
+from .hypergroupoid import check_hg_axioms, to_quantale
 from .io import format_complex, format_element, load_input, parse_element
 from .quantale import check_axioms, site
 from .realization import orbit_atoms, weights
@@ -103,31 +108,58 @@ def _encode(value, nl: str, write):
         write(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
 
 
-_MU_RECORD = '    {\n      "a": %s,\n      "g": %s,\n      "gp": %s,\n      "value": %s\n    }'
+def _mu_blocks(W, columns) -> Iterator[str]:
+    """The rows of W's table as text, one chunk per arrow g, in g order.
+    Each row is the concatenation, over ``columns``, of ``pieces[col[i]]``
+    for each (col, pieces); the rows of one g are consecutive, already in
+    (g', a) order, so only the blocks are reordered."""
+    g_ = W.base.rows[0]
+    starts = list(compress(range(len(g_)), chain((True,), map(ne, islice(g_, 1, None), g_))))
+    block = dict(zip(map(g_.__getitem__, starts), pairwise([*starts, len(g_)])))
+    for g in sorted(block):
+        s, e = block[g]
+        yield "".join(chain.from_iterable(zip(*[
+            map(pieces.__getitem__, col[s:e]) for col, pieces in columns])))
 
 
-def _mu_chunks(names, mu_rows) -> Iterator[str]:
+def _mu_chunks(W) -> Iterator[str]:
     """The ``mu`` array of the algebra report, encoded for ``_emit_json``:
-    one record per row (g, g', a, value), written from one template
-    without building the dicts."""
-    enc = [encode_basestring_ascii(name) for name in names]
-    sep = "[\n"
-    for g, gp, a, v in mu_rows:
-        yield sep + _MU_RECORD % (enc[a], enc[g], enc[gp], '"inf"' if v is INF else v)
-        sep = ",\n"
-    yield "[]" if sep == "[\n" else "\n  ]"
+    one record {a, g, gp, value} per structure constant <a | g, g'>, by g,
+    g' and a, written one arrow g at a time from pre-encoded pieces."""
+    (b_, a_, c_), values = W.base.rows, W.values
+    enc = [encode_basestring_ascii(name) for name in W.base.arrow_names]
+    chunks = _mu_blocks(W, (
+        (c_, [f'    {{\n      "a": {e},\n      "g": ' for e in enc]),
+        (b_, [f'{e},\n      "gp": ' for e in enc]),
+        (a_, [f'{e},\n      "value": ' for e in enc]),
+        (values, {v: ('"inf"' if v is INF else str(v)) + "\n    },\n" for v in set(values)})))
+    # every record ends in ",\n"; the last one's is cut for the closing bracket
+    last = "[\n"
+    for chunk in chunks:
+        yield last
+        last = chunk
+    yield "[]" if last == "[\n" else last[:-2] + "\n  ]"
 
 
-def _mu_rows(W) -> Iterator[tuple]:
-    """(g, g', a, <a|g,g'>) for every structure constant, by g, g' and
-    a: the rows, which run by src(g), g, g' and a, stably reordered by g."""
-    g_, gp_, a_ = W.base.rows
-    at = gatherer(sorted(range(len(a_)), key=g_.__getitem__))
-    return zip(at(g_), at(gp_), at(a_), at(W.values))
+def _mu_table(W) -> tuple[list[str], Iterator[str]]:
+    """The heading lines of the algebra report's mu table and its rows,
+    one chunk per arrow g as ``_mu_blocks`` writes them; the columns are
+    as wide as ``_table`` makes them for the names and values present."""
+    (b_, a_, c_), values = W.base.rows, W.values
+    names = W.base.arrow_names
+    texts = {v: str(v) for v in set(values)}
+    headers = ["g", "gp", "a", "mu"]
+    present = [map(names.__getitem__, set(col)) for col in (b_, a_, c_)]
+    widths = [max(map(len, [h, *cells])) for h, cells in zip(headers, [*present, texts.values()])]
+    return _table(headers, [], widths), _mu_blocks(W, (
+        *((col, [name.ljust(w) + "  " for name in names]) for col, w in zip((b_, a_, c_), widths)),
+        (values, {v: text + "\n" for v, text in texts.items()})))
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
+def _table(headers: list[str], rows: list[list[str]], widths=None) -> list[str]:
+    """Heading, rule and rows, each column as wide as its widest cell, or
+    as ``widths`` when given: those of rows written elsewhere."""
+    widths = list(map(len, headers) if widths is None else widths)
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
@@ -194,7 +226,6 @@ def cmd_algebra(args) -> int:
     H, W = ctx.base, ctx.weighted
     wrows = [[H.arrow_names[g], str(W.left[g]), str(W.right[g]), _chi_str(W, g)]
              for g in range(H.n_arrows)]
-    mu_rows = _mu_rows(W)
     if args.format == "json":
         payload = {
             "atoms": [{"id": r[0], "src": r[1], "tgt": r[2], "star": r[3]}
@@ -202,20 +233,19 @@ def cmd_algebra(args) -> int:
             "weights": [{"id": r[0], "left": extnat_to_json(W.left[g]),
                          "right": extnat_to_json(W.right[g]), "chi": r[3]}
                         for g, r in enumerate(wrows)],
-            "mu": _mu_chunks(H.arrow_names, mu_rows),
+            "mu": _mu_chunks(W),
         }
         _emit_json(ctx.report("algebra", payload))
     else:
+        heading, chunks = _mu_table(W)
         lines = ctx.header("algebra")
         lines += _table(["id", "src", "tgt", "star", "size", "rep"], _atoms_rows(ctx))
         lines.append("")
         lines += _table(["id", "left", "right", "chi"], wrows)
         lines.append("")
-        lines += _table(
-            ["g", "gp", "a", "mu"],
-            [[H.arrow_names[g], H.arrow_names[gp], H.arrow_names[a], str(v)]
-             for g, gp, a, v in mu_rows])
-        _emit(lines)
+        _emit(lines + heading)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     return 0
 
 
@@ -465,7 +495,7 @@ def main(argv=None) -> int:
     args = _parse_args(_attach_literals(argv))
     try:
         return args.func(args)
-    except (SchemaError, FileNotFoundError) as exc:
+    except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except HyperqError as exc:

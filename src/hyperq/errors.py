@@ -6,7 +6,8 @@ class HyperqError(Exception):
 
 
 class SchemaError(HyperqError):
-    """An input file does not conform to the hyperq/1 JSON schema."""
+    """An input file cannot be read or does not conform to the hyperq/1
+    JSON schema."""
 
 
 class MalformedTable(HyperqError):

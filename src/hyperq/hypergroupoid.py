@@ -21,6 +21,7 @@ atoms absorbing it on each side (NotModular when resolution fails).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -352,7 +353,9 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
     """Check HG1 (unique identities), HG2 (associativity) and HG3
     (the involution exchange law) over all composable tuples.  Each law
     is one ``Check`` of the returned ``Report``; a failing law keeps its
-    first failing tuple as its one failure.
+    first failing tuple as its one failure.  ``checked`` counts what each
+    law decides: HG1 the arrows, HG2 the composable triples, HG3 the
+    composition rows.
 
     HG2 compares, for each composable (x, y), the row of (x y) z with the
     row of x (y z) over the z with tgt z = src y, and reports the first
@@ -379,7 +382,7 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
         (e, x) for e, i in enumerate(H.unit_arrow) for x in range(H.n_arrows)
         if H.tgt[x] == e and H.compose(i, x) != frozenset((x,))
         or H.src[x] == e and H.compose(x, i) != frozenset((x,))), None)
-    results.append(first_failure("HG1", hg1_ce, note="identity uniqueness included"))
+    results.append(first_failure("HG1", hg1_ce, "identity uniqueness included", H.n_arrows))
 
     # HG2: with z in into[src y], (x y) z is the OR of the rows after[c]
     # over c in x y, and x (y z) the OR of after[x] at the positions of y z
@@ -416,7 +419,10 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
                 break
         if hg2_ce:
             break
-    results.append(first_failure("HG2", hg2_ce))
+    # the composable triples (x, y, z): src x = tgt y and tgt z = src y
+    by_src = Counter(H.src)
+    triples = sum(by_src[H.tgt[y]] * len(into[H.src[y]]) for y in range(H.n_arrows))
+    results.append(first_failure("HG2", hg2_ce, checked=triples))
 
     # HG3: x in yz implies z in y*x and y in xz*
     hg3_ce = None
@@ -429,7 +435,7 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
                 break
         if hg3_ce:
             break
-    results.append(first_failure("HG3", hg3_ce))
+    results.append(first_failure("HG3", hg3_ce, checked=len(H.rows[2])))
 
     return Report(tuple(results))
 

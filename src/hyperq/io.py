@@ -187,9 +187,14 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
 
 
 def load_input(path: str) -> tuple[InputSpec, str]:
-    """Parse a file, returning the spec and its content digest."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Parse a file, returning the spec and its content digest.  A path
+    that cannot be opened or read (missing, a directory, not permitted)
+    raises SchemaError with the operating system's message."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise SchemaError(str(exc)) from exc
     digest = hashlib.sha256(raw).hexdigest()[:12]
     try:
         obj = json.loads(raw.decode("utf-8"))

@@ -50,7 +50,7 @@ from operator import add
 
 from .algebra import WeightedHypergroupoid, derived_weights, mu_view
 from .errors import HyperqError, OrderBoundExceeded
-from .hypergroupoid import Hypergroupoid, comp_view, gatherer, lazy
+from .hypergroupoid import Hypergroupoid, gatherer, lazy
 
 Perm = tuple[int, ...]
 
@@ -409,14 +409,6 @@ def _pair_rows(membership, n, reps, src):
     b_of = list(chain.from_iterable(map(repeat, order, repeat(k))))
     a_of = list(range(k)) * k
     return (at_key(b_of), at_key(a_of), at(cs)), at(values)
-
-
-def _pair_products(membership, n, reps, src):
-    """The mu and comp dicts of ``_pair_rows``, which ``orbit_atoms``
-    leaves to the views of its tables: mu maps (c, b, a) to <c | b, a>
-    and comp (b, a) to its composition set, both in row order."""
-    rows, values = _pair_rows(membership, n, reps, src)
-    return mu_view(rows, values), comp_view(rows, len(reps))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every checker returns a ``Report`` of ``Check``s.  A check's
 counterexample is its first failure, never stored apart from it, and a
-search that stops at its first failure keeps exactly that one.
+search that stops at its first failure keeps exactly that one.  The
+quantale and hypergroupoid laws count in ``checked`` the instances their
+notes state.
 """
 
 import pytest
@@ -11,10 +13,11 @@ from conftest import DATA
 from hyperq.algebra import adjoint_check, validate_weights
 from hyperq.checks import Check, Report
 from hyperq.fixtures import delta_quantale, delta_quantale_mutated
-from hyperq.hypergroupoid import check_hg_axioms, from_quantale
+from hyperq.hypergroupoid import check_hg_axioms, from_quantale, to_quantale
 from hyperq.io import load_input
 from hyperq.qsets import check_qset, qmatrix
 from hyperq.quantale import check_axioms
+from hyperq.realization import orbit_atoms
 
 
 def test_report_queries():
@@ -51,3 +54,25 @@ def test_a_search_keeps_its_first_failure_only():
     for r in weights.failing():
         assert r.counterexample == r.failures[0]
         assert 0 < len(r.failures) <= r.checked
+
+
+@pytest.mark.parametrize("name, counts", [
+    # 14 arrows on 2 units: 806 composable triples, 122 composition rows
+    ("s3_mixed", {"Q1": 0, "Q2": 0, "Q3": 0, "Q4": 2744, "Q5": 0, "Q6": 14, "Q7": 14,
+                  "Q8": 196, "Q9": 2744, "HG1": 14, "HG2": 806, "HG3": 122}),
+    # a failing table counts what it decided all the same
+    ("hg3_mutated", {"Q1": 0, "Q2": 0, "Q3": 0, "Q4": 27, "Q5": 0, "Q6": 3, "Q7": 3,
+                     "Q8": 9, "Q9": 27, "HG1": 3, "HG2": 27, "HG3": 9}),
+])
+def test_law_checks_count_what_their_notes_state(name, counts):
+    spec, _ = load_input(DATA / f"{name}.json")
+    H = spec.weighted.base if spec.weighted is not None else orbit_atoms(spec.action).hypergroupoid
+    results = check_axioms(to_quantale(H)).results + check_hg_axioms(H).results
+    assert {r.name: r.checked for r in results} == counts
+    n = H.n_arrows
+    assert counts["HG2"] == sum(H.src[x] == H.tgt[y] and H.src[y] == H.tgt[z]
+                                for x in range(n) for y in range(n) for z in range(n))
+    assert counts["HG3"] == sum(map(len, H.comp.values()))
+    notes = {r.name: r.note for r in results}
+    for law in ("Q4", "Q6", "Q7", "Q8", "Q9"):
+        assert notes[law].startswith(f"{counts[law]} atom")

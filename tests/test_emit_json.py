@@ -2,7 +2,8 @@
 sort_keys=True) writes.
 
 ``_emit_json`` encodes the report in one recursive pass and writes the
-pre-encoded chunks of the algebra report's ``mu`` array as they come.
+pre-encoded chunks of the algebra report's ``mu`` array as they come,
+one chunk per arrow g.
 Its output must equal the one-shot ``json.dumps`` of the same object,
 for every command's report on every fixture, for any nesting of the
 value types a report holds, and for the edge cases of the ``mu``
@@ -13,6 +14,7 @@ empty table.
 import contextlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -52,13 +54,19 @@ NAMES = ("e", 'say "hi"', "back\\slash", "é", "α→β", "𝔤", "line\nbreak",
 
 
 def _mu_case(keys, values):
+    """The report with ``mu`` as the chunks of a table that holds the rows
+    of each g together, the g blocks in descending order, and the same
+    report with ``mu`` as plain records, by g and then in key order."""
     mu = dict(zip(keys, values))
-    rows = [(g, gp, a, mu[a, g, gp]) for a, g, gp in keys]
-    encoded = {"command": "algebra", "mu": cli._mu_chunks(NAMES, rows),
+    rows = sorted(keys, key=lambda key: -key[1])
+    c_, b_, a_ = zip(*rows) if rows else ((), (), ())
+    W = SimpleNamespace(base=SimpleNamespace(rows=(b_, a_, c_), arrow_names=NAMES),
+                        values=[mu[key] for key in rows])
+    encoded = {"command": "algebra", "mu": cli._mu_chunks(W),
                "weights": [{"id": NAMES[1], "chi": "-"}], "ok": True}
     plain = {**encoded, "mu": [{"a": NAMES[a], "g": NAMES[g], "gp": NAMES[gp],
                                 "value": extnat_to_json(mu[(a, g, gp)])}
-                               for a, g, gp in keys]}
+                               for a, g, gp in sorted(keys, key=lambda key: key[1])]}
     return encoded, plain
 
 

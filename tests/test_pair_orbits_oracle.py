@@ -18,12 +18,14 @@ import random
 import pytest
 
 from conftest import DATA
+from hyperq.algebra import mu_view
 from hyperq.fixtures import random_coset_specs
+from hyperq.hypergroupoid import comp_view
 from hyperq.io import load_input
 from hyperq.realization import (
     CosetSpec,
     PermAction,
-    _pair_products,
+    _pair_rows,
     coset_union_action,
     enumerate_group,
     from_cycles,
@@ -68,7 +70,8 @@ def _assert_same_as_walk(action: PermAction):
     assert real.representative == tuple(reps)
     assert real.orbit_size == tuple(sizes)
     src = tuple(real.point_orbit[y] for _, y in reps)
-    mu, comp = _pair_products(membership, action.n_points, reps, src)
+    rows, values = _pair_rows(membership, action.n_points, reps, src)
+    mu, comp = mu_view(rows, values), comp_view(rows, len(reps))
     assert list(real.mu.items()) == list(mu.items())
     assert list(real.hypergroupoid.comp.items()) == list(comp.items())
 
