@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -54,45 +54,90 @@ class WeightedHypergroupoid:
     ``values[i]`` is <c | b, a> for row i = (b, a, c) of ``base.rows``;
     left[g] and right[g] are the declared weights (normally the derived
     values <e|g*,g> and <e'|g,g*>, but imported tables may disagree,
-    which validate_weights reports).  Callers pass either ``values`` or a
-    dict ``mu`` {(c, b, a): <c | b, a>}, checked entry by entry and
-    turned into values; a given ``mu`` wins, so
-    ``dataclasses.replace(W, mu=...)`` swaps the table.  ``mu`` is a
-    read-only dict view in row order, built on first access (a given
-    dict is its own view); callers must not mutate it."""
+    which validate_weights reports).  Callers pass one of:
+
+    - ``values``;
+    - a dict ``mu`` {(c, b, a): <c | b, a>}, checked entry by entry and
+      turned into values; a given ``mu`` wins, so
+      ``dataclasses.replace(W, mu=...)`` swaps the table;
+    - a function ``build`` returning the values, with the
+      ``identity_values`` beside it.  The values are then built on first
+      read, and must take the given values at the identity rows.
+
+    ``identity_values`` are the values at ``base.identity_rows``, all
+    that the weights and the KMS check read.  ``mu`` is a read-only dict
+    view in row order, built on first access (a given dict is its own
+    view); callers must not mutate it."""
 
     base: Hypergroupoid
-    values: Sequence[ExtNat] = field(repr=False)
+
+    def _built_values(self) -> Sequence[ExtNat]:
+        values = _checked_values(self.base, self._build())
+        return identity_checked(self.base, values, self.identity_values)
+
+    values: Sequence[ExtNat] = field(default=lazy(_built_values), repr=False)
     left: tuple[ExtNat, ...]
     right: tuple[ExtNat, ...]
+    identity_values: tuple[ExtNat, ...] = field(init=False, repr=False)
 
     def __init__(self, base: Hypergroupoid,
                  mu: Mapping[tuple[int, int, int], ExtNat] | None = None, *,
                  left: tuple[ExtNat, ...], right: tuple[ExtNat, ...],
-                 values: Sequence[ExtNat] | None = None):
+                 values: Sequence[ExtNat] | None = None,
+                 build: Callable[[], Sequence[ExtNat]] | None = None,
+                 identity_values: Sequence[ExtNat] | None = None):
         for name, value in (("base", base), ("left", left), ("right", right)):
             object.__setattr__(self, name, value)
         if not len(left) == len(right) == base.n_arrows:
             raise MalformedTable("left and right must have one weight per arrow")
-        for v in left + right:
-            check_extnat(v)
+        _check_values(left + right)
         if mu is not None:
             values = mu_values(base, mu)
             object.__setattr__(self, "mu", mu)
-        if len(values) != len(base.rows[2]):
-            raise MalformedTable("mu must have one value per composition row")
-        # plain non-negative ints pass at once; bools and the rest are
-        # left to check_extnat
-        if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
-            for v in values:
-                check_extnat(v)
-        object.__setattr__(self, "values", values)
+        elif build is not None:
+            identity_values = tuple(identity_values)
+            if len(identity_values) != len(base.identity_rows[2]):
+                raise MalformedTable("mu must have one value per identity row")
+            _check_values(identity_values)
+            object.__setattr__(self, "_build", build)
+            object.__setattr__(self, "identity_values", identity_values)
+            return
+        object.__setattr__(self, "values", _checked_values(base, values))
+        object.__setattr__(self, "identity_values", gatherer(base.identity_index)(values))
 
     @lazy
     def mu(self) -> dict[tuple[int, int, int], ExtNat]:
         """(c, b, a) -> <c | b, a>, one entry per composite of each
         composable pair."""
         return mu_view(self.base.rows, self.values)
+
+
+def _check_values(values: Sequence[ExtNat]):
+    """Raise as ``check_extnat`` does at the first value that is no
+    extended natural."""
+    # plain non-negative ints pass at once; bools and the rest are left
+    # to check_extnat
+    if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):
+        for v in values:
+            check_extnat(v)
+
+
+def _checked_values(H: Hypergroupoid, values: Sequence[ExtNat]) -> Sequence[ExtNat]:
+    """A value column of H, one extended natural per row; MalformedTable
+    if there are too few or too many."""
+    if len(values) != len(H.rows[2]):
+        raise MalformedTable("mu must have one value per composition row")
+    _check_values(values)
+    return values
+
+
+def identity_checked(H: Hypergroupoid, values: Sequence[ExtNat],
+                     identity_values: tuple[ExtNat, ...]) -> Sequence[ExtNat]:
+    """A value column of H that takes ``identity_values`` at the identity
+    rows; MalformedTable if it does not."""
+    if gatherer(H.identity_index)(values) != identity_values:
+        raise MalformedTable("mu values disagree with the identity values counted first")
+    return values
 
 
 def mu_view(rows: Rows, values: Sequence[ExtNat]) -> dict[tuple[int, int, int], ExtNat]:
@@ -124,20 +169,19 @@ def mu_values(H: Hypergroupoid, mu: Mapping[tuple[int, int, int], ExtNat]) -> li
     return list(map(mu.__getitem__, zip(c_, b_, a_)))
 
 
-def derived_weights(H: Hypergroupoid, values: Sequence[ExtNat]) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
-    """Left/right weight vectors read off the identity rows of a value
-    column.  |g|_l = <e|g*,g> and |g*|_r = <e|g*,g**> are one row,
+def derived_weights(H: Hypergroupoid, identity_values: Sequence[ExtNat]) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
+    """Left/right weight vectors read off the identity rows of H and
+    their values.  |g|_l = <e|g*,g> and |g*|_r = <e|g*,g**> are one row,
     (g*, g, e) with e the identity of src(g); both are 0 where it is
     missing."""
-    b_, a_, _ = H.rows
+    b_, a_, _ = H.identity_rows
     star = H.star
     left = [0] * H.n_arrows
     right = [0] * H.n_arrows
-    for i in H.identity_rows:
-        b, a = b_[i], a_[i]
+    for b, a, v in zip(b_, a_, identity_values):
         # the one identity that a composite of (a*, a) can be is that of src(a)
         if b == star[a]:
-            left[a] = right[b] = values[i]
+            left[a] = right[b] = v
     return tuple(left), tuple(right)
 
 
@@ -172,7 +216,7 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
     is found by its row key, and only failures are sorted by key."""
     H, values, left, right = W.base, W.values, W.left, W.right
     arrows = range(H.n_arrows)
-    dleft, dright = derived_weights(H, values)
+    dleft, dright = derived_weights(H, W.identity_values)
     g_, gp_, a_ = H.rows
     star = H.star
     at_a, at_g, at_gp = gatherer(a_), gatherer(g_), gatherer(gp_)
@@ -328,9 +372,8 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
             pass
 
     # comp(x, y) holds at most one identity arrow, so m(x, y) is one row
-    x_, y_, _ = H.rows
-    values = W.values
-    mass = {(x_[i], y_[i]): values[i] for i in H.identity_rows if values[i] != 0}
+    x_, y_, _ = H.identity_rows
+    mass = {(x, y): v for x, y, v in zip(x_, y_, W.identity_values) if v != 0}
     candidates = sorted({pair for x, y in mass for pair in ((x, y), (y, x))
                          if pair[1] in ratio})
     # every candidate is evaluated, past the failure cap too, so an
@@ -394,7 +437,7 @@ def adjoint_check(real) -> Report:
     "adjoint" check."""
     H = real.hypergroupoid
     n, mem = real.n_points, real.membership
-    left, right = derived_weights(H, real.values)
+    left, right = derived_weights(H, real.identity_values)
     results = []
     failures_const = []
     failures_adj = []

@@ -34,9 +34,13 @@ from .realization import orbit_atoms, weights
 
 
 class Context:
-    """Loaded input plus the realized structures the commands share."""
+    """Loaded input plus the realized structures the commands share.
 
-    def __init__(self, path: str):
+    A realized table is counted whole here, before any output, so that a
+    fault in it exits 2 with nothing written; with ``identity_only`` only
+    its identity rows are, for the commands that read no other row."""
+
+    def __init__(self, path: str, identity_only: bool = False):
         self.spec, self.digest = load_input(path)
         if self.spec.kind == "abstract":
             self.real = None
@@ -44,6 +48,8 @@ class Context:
         else:
             self.real = orbit_atoms(self.spec.action)
             self.weighted = weights(self.real)
+            if not identity_only:
+                self.weighted.values   # counts and checks the whole table
         self.base = self.weighted.base
 
     def header(self, command: str) -> list[str]:
@@ -203,7 +209,7 @@ def _atoms_rows(ctx: Context) -> list[list[str]]:
 
 
 def cmd_atoms(args) -> int:
-    ctx = Context(args.file)
+    ctx = Context(args.file, identity_only=True)
     H = ctx.base
     rows = _atoms_rows(ctx)
     if args.format == "json":
@@ -316,7 +322,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_kms(args) -> int:
-    ctx = Context(args.file)
+    ctx = Context(args.file, identity_only=True)
     report = kms_check(ctx.weighted)
     H = ctx.base
     undefined = [H.arrow_names[g] for g in report.chi_undefined]
@@ -348,7 +354,7 @@ def cmd_kms(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    ctx = Context(args.file)
+    ctx = Context(args.file, identity_only=True)
     H, W = ctx.base, ctx.weighted
     elem = parse_element(args.element, H.arrow_names)
     out = sigma(W, args.t, elem)

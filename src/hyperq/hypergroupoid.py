@@ -13,6 +13,12 @@ The defining laws checked by ``check_hg_axioms``:
        Light's test
   HG3  x in y z  implies  z in y* x  and  y in x z*
 
+The composition table is kept as int columns, one row (b, a, c) per
+composite c of each composable pair.  A table may be given by a function
+that builds it: it is then built and checked on first read, and until
+then only its identity rows, whose composite is an identity arrow, are
+held.  The weights and the KMS check read no other row.
+
 Subsets of arrows under pointwise composition form an atomic modular
 quantale; ``to_quantale`` builds its atom table and ``from_quantale``
 inverts the construction by resolving, for every atom, the unique unit
@@ -22,7 +28,7 @@ atoms absorbing it on each side (NotModular when resolution fails).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice, repeat
@@ -103,15 +109,24 @@ class Hypergroupoid:
 
     The table is ``rows``: int columns (b, a, c), one row per composite c
     of each composable pair (b, a), in strictly increasing ``keys``
-    (rank(b) n + a) n + c, b ranked by (src(b), b).  Callers pass either
-    ``rows``, checked whole columns at a time, or a dict ``comp``
-    {(b, a): composition set}, checked entry by entry and turned into
-    rows; a given ``comp`` wins, so ``dataclasses.replace(H, comp=...)``
-    swaps the table.  ``comp`` is a read-only dict view in row order,
-    equal sets one frozenset, built on first access (a given dict is its
-    own view); callers must not mutate it.  ``identity_rows``, the rows
-    whose composite is an identity arrow, are all that the weights and
-    the KMS check read."""
+    (rank(b) n + a) n + c, b ranked by (src(b), b).  Callers pass one of:
+
+    - ``rows``, checked whole columns at a time;
+    - a dict ``comp`` {(b, a): composition set}, checked entry by entry
+      and turned into rows; a given ``comp`` wins, so
+      ``dataclasses.replace(H, comp=...)`` swaps the table;
+    - a function ``build`` returning the rows, with the ``identity_rows``
+      beside it.  The rows are then built on first read and checked
+      there as given rows are, and their identity rows must be the
+      given ones.
+
+    ``identity_rows`` are the columns (b, a, e) of the rows whose
+    composite e is an identity arrow, in row order, and
+    ``identity_index`` their places in ``rows``.  The weights and the
+    KMS check read only these, so a table given by ``build`` that is
+    read no further is never built.  ``comp`` is a read-only dict view in
+    row order, equal sets one frozenset, built on first access (a given
+    dict is its own view); callers must not mutate it."""
 
     unit_names: tuple[str, ...]
     arrow_names: tuple[str, ...]
@@ -119,12 +134,26 @@ class Hypergroupoid:
     tgt: tuple[int, ...]
     star: tuple[int, ...]
     unit_arrow: tuple[int, ...]
-    rows: Rows = field(repr=False)
-    identity_rows: list[int] = field(init=False, repr=False)
+
+    def _built_rows(self) -> Rows:
+        """The rows of ``build``, checked, with their identity rows."""
+        rows = self._build()
+        keys = self._checked(rows)
+        index = self._identity_index(rows[2])
+        if tuple(map(gatherer(index), rows)) != self.identity_rows:
+            raise MalformedTable("composition rows disagree with the identity rows counted first")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "identity_index", index)
+        return rows
+
+    rows: Rows = field(default=lazy(_built_rows), repr=False)
+    identity_rows: Rows = field(init=False, repr=False)
 
     def __init__(self, unit_names, arrow_names, src, tgt, star, unit_arrow,
                  comp: Mapping[tuple[int, int], frozenset[int]] | None = None,
-                 rows: Rows | None = None):
+                 rows: Rows | None = None, *,
+                 build: Callable[[], Rows] | None = None,
+                 identity_rows: Rows | None = None):
         # explicit raises, not asserts: check_hg_axioms indexes comp and
         # aligns rows on composite typing, so it relies on these under -O.
         # Attributes are set as a frozen dataclass's __init__ sets them,
@@ -148,59 +177,72 @@ class Hypergroupoid:
             if src[i] != e or tgt[i] != e or star[i] != i:
                 raise MalformedTable(
                     f"identity arrow {i} of unit {e} must be a self-adjoint loop at {e}")
-        if comp is None:
-            object.__setattr__(self, "rows", rows)
-            if not self._rows_hold():
-                # name the first fault as the dict check does; rows out of
-                # order are the one fault a dict cannot have
-                sets: dict[tuple[int, int], set[int]] = {}
-                for b, a, c in zip(*rows):
-                    sets.setdefault((b, a), set()).add(c)
-                self._check_comp(sets)
-                raise MalformedTable("composition rows must strictly increase by src(b), b, a, c")
-        else:
+        if comp is not None:
             # a dict is checked entry by entry, and its rows come out in order
             self._check_comp(comp)
             pairs = sorted(comp, key=lambda p: (src[p[0]], p))
             rows = tuple(zip(*[(b, a, c) for b, a in pairs
                                for c in sorted(comp[b, a])])) or ((), (), ())
             object.__setattr__(self, "comp", comp)
-            object.__setattr__(self, "rows", rows)
-        is_unit = [False] * na
-        for i in unit_arrow:
-            is_unit[i] = True
-        c_ = self.rows[2]
-        object.__setattr__(self, "identity_rows",
-                           list(compress(range(len(c_)), gatherer(c_)(is_unit))))
+        elif build is not None:
+            object.__setattr__(self, "_build", build)
+            object.__setattr__(self, "identity_rows", tuple(map(tuple, identity_rows)))
+            return
+        else:
+            object.__setattr__(self, "keys", self._checked(rows))
+        object.__setattr__(self, "rows", rows)
+        index = self._identity_index(rows[2])
+        object.__setattr__(self, "identity_index", index)
+        object.__setattr__(self, "identity_rows", tuple(map(gatherer(index), rows)))
 
-    def _rows_hold(self) -> bool:
-        """Whether the rows are arrow ids, each pair composable with each
-        composite in hom(src a, tgt b), in strictly increasing key, with
-        every composable pair among them; keeps the ``keys`` it computes.
+    def _checked(self, rows: Rows) -> list[int]:
+        """The keys of the rows, if ``_rows_hold``; else MalformedTable
+        naming the first fault as the dict check does.  Rows out of order
+        are the one fault a dict cannot have."""
+        keys = self._rows_hold(rows)
+        if keys is None:
+            sets: dict[tuple[int, int], set[int]] = {}
+            for b, a, c in zip(*rows):
+                sets.setdefault((b, a), set()).add(c)
+            self._check_comp(sets)
+            raise MalformedTable("composition rows must strictly increase by src(b), b, a, c")
+        return keys
+
+    def _identity_index(self, c_) -> list[int]:
+        """The places of the identity arrows in a composite column."""
+        is_unit = [False] * self.n_arrows
+        for i in self.unit_arrow:
+            is_unit[i] = True
+        return list(compress(range(len(c_)), gatherer(c_)(is_unit)))
+
+    def _rows_hold(self, rows: Rows) -> list[int] | None:
+        """The keys of the rows if they are arrow ids, each pair
+        composable with each composite in hom(src a, tgt b), in strictly
+        increasing key, with every composable pair among them; else None.
         Whole columns at a time."""
-        b_, a_, c_ = self.rows
+        b_, a_, c_ = rows
         src, tgt = self.src, self.tgt
         if not len(b_) == len(a_) == len(c_):
-            return False
+            return None
         pairs = set()
+        keys: list[int] = []
         if c_:
             if min(b_) < 0 or min(a_) < 0 or min(c_) < 0:
-                return False
+                return None
             at_b, at_a, at_c = gatherer(b_), gatherer(a_), gatherer(c_)
             try:
                 if not (at_b(src) == at_a(tgt) and at_c(src) == at_a(src)
                         and at_c(tgt) == at_b(tgt)):
-                    return False
+                    return None
             except IndexError:
-                return False
+                return None
             high, mid = self.key_parts
             keys = list(map(add, map(add, at_b(high), at_a(mid)), c_))
             if not all(map(lt, keys, islice(keys, 1, None))):
-                return False
-            object.__setattr__(self, "keys", keys)
+                return None
             # key - c is the pair's part of the key
             pairs = set(map(sub, keys, c_))
-        return len(pairs) == self._composable_pairs()
+        return keys if len(pairs) == self._composable_pairs() else None
 
     def _check_comp(self, comp):
         """MalformedTable naming the first fault of a comp dict, entry by
@@ -250,10 +292,18 @@ class Hypergroupoid:
     @lazy
     def keys(self) -> list[int]:
         """The key of each row; the rows are checked in key order, and
-        kept there."""
+        kept there.  Checking given or built rows stores their keys."""
         b_, a_, c_ = self.rows
         high, mid = self.key_parts
         return list(map(add, map(add, gatherer(b_)(high), gatherer(a_)(mid)), c_))
+
+    @lazy
+    def identity_index(self) -> list[int]:
+        """The places of the identity rows in ``rows``.  They are stored
+        with the rows however these are given, so a first read here
+        builds a table given by ``build``."""
+        self.rows
+        return vars(self)["identity_index"]
 
     @lazy
     def pair_starts(self) -> list[int]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .algebra import WeightedHypergroupoid, derived_weights, mu_values
 from .errors import MalformedTable, SchemaError
 from .extnat import INF, ExtNat, extnat_from_json
-from .hypergroupoid import Hypergroupoid
+from .hypergroupoid import Hypergroupoid, gatherer
 from .realization import CosetSpec, PermAction, coset_union_action
 
 SCHEMA = "hyperq/1"
@@ -179,7 +179,7 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
             for nm, v in _require(obj, field, dict).items():
                 vec[arrow(nm)] = extnat(field, v)
     values = mu_values(H, mu)
-    left, right = derived_weights(H, values)
+    left, right = derived_weights(H, gatherer(H.identity_index)(values))
     if overrides:
         left, right = (tuple(overrides.get(field, {}).get(g, w) for g, w in enumerate(vec))
                        for field, vec in (("left", left), ("right", right)))

@@ -20,8 +20,9 @@ follow; the checkers verify the consequences hold and report any
 discrepancy.  Q-relations and Q-functions between Q-sets follow the same
 pattern with the compatibility (R1, R2), single-valuedness (F1) and
 totality (F2) laws and their primed saturated forms.  Every checker
-returns a ``Report`` with one ``Check`` per law; a failing law keeps its
-first failing tuple as its one failure.
+returns a ``Report`` with one ``Check`` per law, which counts in
+``checked`` the instances its search ranges over; a failing law keeps
+its first failing tuple as its one failure.
 
 ``check_modular_action`` verifies that a finite sup-lattice with a right
 atom action is a module (join-bilinear, associative, unital) satisfying
@@ -183,25 +184,25 @@ def check_qset(Q: AtomicQuantale, carrier, bracket: QuantaleMatrix) -> Report:
     s1 = next((
         (carrier[x], carrier[y]) for x in range(n) for y in range(n)
         if bracket[x, y] != q_star(Q, bracket[y, x])), None)
-    results.append(first_failure("S1", s1))
+    results.append(first_failure("S1", s1, checked=n * n))
 
     s2 = next((
         (carrier[x], carrier[y], carrier[z])
         for x in range(n) for y in range(n) for z in range(n)
         if not q_mul(Q, bracket[x, y], bracket[y, z]) <= bracket[x, z]), None)
-    results.append(first_failure("S2", s2))
+    results.append(first_failure("S2", s2, checked=n ** 3))
 
     if s1 is None and s2 is None:
         s2p = next((
             (carrier[x], carrier[y]) for x in range(n) for y in range(n)
             if _join(q_mul(Q, bracket[x, t], bracket[t, y]) for t in range(n))
             != bracket[x, y]), None)
-        results.append(first_failure("S2'", s2p))
+        results.append(first_failure("S2'", s2p, checked=n * n))
         absorb = next((
             (carrier[x], carrier[y]) for x in range(n) for y in range(n)
             if q_mul(Q, bracket[x, x], bracket[x, y]) != bracket[x, y]
             or q_mul(Q, bracket[x, y], bracket[y, y]) != bracket[x, y]), None)
-        results.append(first_failure("absorption", absorb))
+        results.append(first_failure("absorption", absorb, checked=n * n))
     return Report(tuple(results))
 
 
@@ -239,7 +240,7 @@ def check_qrelation(Q: AtomicQuantale, X: QSet, Y: QSet,
         if not lhs <= table[y, x] or (y == yp and lhs != table[y, x]):
             r1 = (Y.carrier[y], Y.carrier[yp], X.carrier[x])
             break
-    results.append(first_failure("R1", r1))
+    results.append(first_failure("R1", r1, checked=ny * ny * nx))
 
     r2 = None
     for y, xp, x in iproduct(range(ny), range(nx), range(nx)):
@@ -247,19 +248,19 @@ def check_qrelation(Q: AtomicQuantale, X: QSet, Y: QSet,
         if not lhs <= table[y, x] or (x == xp and lhs != table[y, x]):
             r2 = (Y.carrier[y], X.carrier[xp], X.carrier[x])
             break
-    results.append(first_failure("R2", r2))
+    results.append(first_failure("R2", r2, checked=ny * nx * nx))
 
     if r1 is None and r2 is None:
         r1p = next((
             (Y.carrier[y], X.carrier[x]) for y in range(ny) for x in range(nx)
             if _join(q_mul(Q, by[y, yp], table[yp, x]) for yp in range(ny))
             != table[y, x]), None)
-        results.append(first_failure("R1'", r1p))
+        results.append(first_failure("R1'", r1p, checked=ny * nx))
         r2p = next((
             (Y.carrier[y], X.carrier[x]) for y in range(ny) for x in range(nx)
             if _join(q_mul(Q, table[y, xp], bx[xp, x]) for xp in range(nx))
             != table[y, x]), None)
-        results.append(first_failure("R2'", r2p))
+        results.append(first_failure("R2'", r2p, checked=ny * nx))
     return Report(tuple(results))
 
 
@@ -281,20 +282,20 @@ def check_qfunction(Q: AtomicQuantale, X: QSet, Y: QSet,
         (Y.carrier[y], Y.carrier[yp], X.carrier[x])
         for y in range(ny) for yp in range(ny) for x in range(nx)
         if not q_mul(Q, table[y, x], q_star(Q, table[yp, x])) <= by[y, yp]), None)
-    results.append(first_failure("F1", f1))
+    results.append(first_failure("F1", f1, checked=ny * ny * nx))
 
     f2 = next((
         (X.carrier[x],) for x in range(nx)
         if not bx[x, x] <= _join(
             q_mul(Q, q_star(Q, table[y, x]), table[y, x]) for y in range(ny))), None)
-    results.append(first_failure("F2", f2))
+    results.append(first_failure("F2", f2, checked=nx))
 
     if rel.ok and f1 is None and f2 is None:
         f2p = next((
             (X.carrier[x], X.carrier[xp]) for x in range(nx) for xp in range(nx)
             if not bx[x, xp] <= _join(
                 q_mul(Q, q_star(Q, table[y, x]), table[y, xp]) for y in range(ny))), None)
-        results.append(first_failure("F2'", f2p))
+        results.append(first_failure("F2'", f2p, checked=nx * nx))
     return Report(tuple(results))
 
 
@@ -415,24 +416,26 @@ def check_modular_action(Q: AtomicQuantale, action: RightAction) -> Report:
     # the empty join m {} is the lattice bottom by construction, and
     # join-bilinear's (bottom, j) rows test what an action can get wrong
     # about it
-    results = [first_failure("join-bilinear", _join_failure(Q, action))]
+    atoms = Q.n_atoms
+    results = [first_failure("join-bilinear", _join_failure(Q, action),
+                             checked=atoms * (1 + n * n))]
 
     assoc = next((
         (m, i, j) for m in range(n) for i in range(Q.n_atoms) for j in range(Q.n_atoms)
         if action.act(m, q_mul(Q, frozenset((i,)), frozenset((j,))))
         != table[table[m][i]][j]), None)
-    results.append(first_failure("assoc", assoc))
+    results.append(first_failure("assoc", assoc, checked=n * atoms * atoms))
 
     unit = next((
         (m,) for m in range(n) if action.act(m, unit_element(Q)) != m), None)
-    results.append(first_failure("unit", unit))
+    results.append(first_failure("unit", unit, checked=n))
 
     # m {j}* is table[m][star j]
     star = Q.star
     mod = next((
         (m, nn, (j,)) for j in range(Q.n_atoms) for m in range(n) for nn in range(n)
         if not lat.le(meet[m][table[nn][j]], table[meet[table[m][star[j]]][nn]][j])), None)
-    results.append(first_failure("modular", mod))
+    results.append(first_failure("modular", mod, checked=atoms * n * n))
     return Report(tuple(results))
 
 
@@ -458,7 +461,7 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
 
     bot = (all(f[A.bottom][b] == C.bottom for b in range(B.size))
            and all(f[a][B.bottom] == C.bottom for a in range(A.size)))
-    results.append(Check("bottom", bot))
+    results.append(Check("bottom", bot, A.size + B.size))
 
     bil = next((
         (a, ap, b) for a in range(A.size) for ap in range(A.size) for b in range(B.size)
@@ -467,7 +470,8 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
         bil = next((
             (a, b, bp) for a in range(A.size) for b in range(B.size) for bp in range(B.size)
             if f[a][B.join[b][bp]] != C.join[f[a][b]][f[a][bp]]), None)
-    results.append(first_failure("join-bilinear", bil))
+    results.append(first_failure("join-bilinear", bil,
+                                 checked=A.size * B.size * (A.size + B.size)))
 
     # x {j} is table[x][j] and x {j}* is table[x][star j]
     ta, tb, tc, star = act_a.table, act_b.table, act_c.table, Q.star
@@ -476,10 +480,11 @@ def check_q_bilinear(Q: AtomicQuantale, act_a: RightAction, act_b: RightAction,
         return next(((a, b, (j,)) for j in range(Q.n_atoms) for a in range(A.size)
                      for b in range(B.size) if fails(a, b, j, star[j])), None)
 
+    triples = Q.n_atoms * A.size * B.size
     results.append(first_failure("cond-1", first(
-        lambda a, b, j, js: not C.le(f[ta[a][j]][b], tc[f[a][tb[b][js]]][j]))))
+        lambda a, b, j, js: not C.le(f[ta[a][j]][b], tc[f[a][tb[b][js]]][j])), checked=triples))
     results.append(first_failure("cond-2", first(
-        lambda a, b, j, js: not C.le(f[a][tb[b][j]], tc[f[ta[a][js]][b]][j]))))
+        lambda a, b, j, js: not C.le(f[a][tb[b][j]], tc[f[ta[a][js]][b]][j])), checked=triples))
     results.append(first_failure("cond-3", first(
-        lambda a, b, j, js: not C.le(tc[f[a][b]][j], f[ta[a][j]][tb[b][j]]))))
+        lambda a, b, j, js: not C.le(tc[f[a][b]][j], f[ta[a][j]][tb[b][j]])), checked=triples))
     return Report(tuple(results))

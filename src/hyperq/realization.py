@@ -37,20 +37,27 @@ row counts:
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
 
-``weights`` returns that value column, not a copy, with the left/right
+They, chi, sigma_t and the KMS check read only the rows whose composite
+is an identity arrow.  So ``orbit_atoms`` counts those rows alone, at
+the representatives (x0, x0) of the identity arrows: n middle points per
+unit rather than per arrow.  The whole table is counted when its rows or
+values are first read, and checked there; its identity rows and values
+must be the ones counted first.  ``weights`` returns the realization's
+value column, not a copy and only when read, with the left/right
 vectors as a weighted hypergroupoid ready for the convolution algebra.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import add
 
-from .algebra import WeightedHypergroupoid, derived_weights, mu_view
+from .algebra import WeightedHypergroupoid, derived_weights, identity_checked, mu_view
 from .errors import HyperqError, OrderBoundExceeded
-from .hypergroupoid import Hypergroupoid, gatherer, lazy
+from .hypergroupoid import Hypergroupoid, Rows, gatherer, lazy
 
 Perm = tuple[int, ...]
 
@@ -239,9 +246,12 @@ class ConcreteRealization:
 
     membership[x * n_points + y] is the arrow id of the orbit through
     (x, y); representative[g] is the least pair of orbit g in
-    lexicographic order; values[i] is <c | b, a> for row i = (b, a, c)
-    of the hypergroupoid's rows, and ``mu`` is the read-only dict view
-    (c, b, a) -> <c | b, a> of that column, built on first access."""
+    lexicographic order; identity_values[i] is <e | b, a> for row
+    i = (b, a, e) of the hypergroupoid's identity rows.  ``table``
+    counts the whole table, rows and values, once.  values[i] is
+    <c | b, a> for row i = (b, a, c) of the hypergroupoid's rows, and
+    ``mu`` the read-only dict view (c, b, a) -> <c | b, a> of that
+    column; both are built on first access, with the rows."""
 
     action: PermAction
     hypergroupoid: Hypergroupoid
@@ -250,7 +260,13 @@ class ConcreteRealization:
     membership: list[int] = field(repr=False)
     representative: tuple[tuple[int, int], ...]
     orbit_size: tuple[int, ...]
-    values: tuple[int, ...] = field(repr=False)
+    identity_values: tuple[int, ...] = field(repr=False)
+    table: Callable[[], tuple[Rows, tuple[int, ...]]] = field(repr=False)
+
+    @lazy
+    def values(self) -> tuple[int, ...]:
+        # counts, one per row by construction
+        return identity_checked(self.hypergroupoid, self.table()[1], self.identity_values)
 
     @lazy
     def mu(self) -> dict[tuple[int, int, int], int]:
@@ -344,7 +360,10 @@ def _pair_orbits(n: int, generators, unit_points):
 
 
 def orbit_atoms(action: PermAction) -> ConcreteRealization:
-    """Enumerate point and pair orbits and assemble the hypergroupoid."""
+    """Enumerate point and pair orbits and assemble the hypergroupoid.
+
+    Only the identity rows are counted here; the whole table is counted
+    when the rows or values are first read."""
     n = action.n_points
     point_orbit, unit_points = _point_orbits(n, action.generators)
     membership, reps, sizes = _pair_orbits(n, action.generators, unit_points)
@@ -352,7 +371,14 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     tgt = tuple(point_orbit[x] for (x, _) in reps)
     star = tuple(membership[y * n + x] for (x, y) in reps)
     unit_arrow = tuple(membership[pts[0] * (n + 1)] for pts in unit_points)
-    rows, values = _pair_rows(membership, n, reps, src)
+    identity_rows, identity_values = _pair_rows(membership, n, reps, src, sorted(unit_arrow))
+    counted = []
+
+    def table():
+        # the whole table, rows and values, counted on the first call
+        if not counted:
+            counted.append(_pair_rows(membership, n, reps, src))
+        return counted[0]
 
     H = Hypergroupoid(
         unit_names=tuple(f"u{k}" for k in range(len(unit_points))),
@@ -361,7 +387,8 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
         tgt=tgt,
         star=star,
         unit_arrow=unit_arrow,
-        rows=rows,
+        build=lambda: table()[0],
+        identity_rows=identity_rows,
     )
     return ConcreteRealization(
         action=action,
@@ -371,12 +398,15 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
         membership=membership,
         representative=tuple(reps),
         orbit_size=tuple(sizes),
-        values=values,
+        identity_values=identity_values,
+        table=table,
     )
 
 
-def _pair_rows(membership, n, reps, src):
-    """Intersection numbers of the pair orbits, as composition rows.
+def _pair_rows(membership, n, reps, src, arrows=None):
+    """Intersection numbers of the pair orbits, as the composition rows
+    whose composite is among ``arrows``, given in increasing order, or
+    all of them.
 
     For an arrow c with representative (x, y), the middle points t give
     the pairs (membership[x*n + t], membership[t*n + y]) = (b, a), and
@@ -395,7 +425,8 @@ def _pair_rows(membership, n, reps, src):
     keys: list[int] = []
     cs: list[int] = []
     values: list[int] = []
-    for c, (x, y) in enumerate(reps):
+    for c in range(k) if arrows is None else arrows:
+        x, y = reps[c]
         row = rows.get(x)
         if row is None:
             row = rows[x] = [rank[b] * k for b in membership[x * n:(x + 1) * n]]
@@ -404,8 +435,12 @@ def _pair_rows(membership, n, reps, src):
         values += counts.values()
         cs += repeat(c, len(counts))
     at = gatherer(sorted(range(len(keys)), key=keys.__getitem__))
+    if 4 * len(keys) < k * k:
+        # a few rows, such as the identity rows: each key is divided out
+        ranks, a_ = zip(*map(divmod, at(keys), repeat(k))) if keys else ((), ())
+        return (gatherer(ranks)(order), a_, at(cs)), at(values)
+    # the b and a of each key rank(b)*k + a, looked up in lists of all k*k
     at_key = gatherer(at(keys))
-    # the b and a of each key rank(b)*k + a
     b_of = list(chain.from_iterable(map(repeat, order, repeat(k))))
     a_of = list(range(k)) * k
     return (at_key(b_of), at_key(a_of), at(cs)), at(values)
@@ -437,8 +472,10 @@ def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = 
 
 
 def weights(real: ConcreteRealization) -> WeightedHypergroupoid:
-    """The realized value column, not a copy, with the weights read off
-    its identity rows."""
-    left, right = derived_weights(real.hypergroupoid, real.values)
+    """The realized table with the weights read off its identity rows.
+    Its values are the realization's value column, not a copy, and are
+    built only when read."""
+    left, right = derived_weights(real.hypergroupoid, real.identity_values)
     return WeightedHypergroupoid(
-        base=real.hypergroupoid, values=real.values, left=left, right=right)
+        base=real.hypergroupoid, left=left, right=right,
+        build=lambda: real.values, identity_values=real.identity_values)

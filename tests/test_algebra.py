@@ -138,7 +138,8 @@ def test_derived_weights_read_only_the_rows_of_star_pairs():
               else frozenset((0,)) for b in range(3) for a in range(3)})
     mu = {(next(iter(cs)), b, a): 1 for (b, a), cs in H.comp.items()}
     mu.update({(0, 1, 1): 5, (0, 2, 2): 7, (0, 2, 1): 2, (0, 1, 2): 3})
-    left, right = derived_weights(H, mu_values(H, mu))
+    values = mu_values(H, mu)
+    left, right = derived_weights(H, [values[i] for i in H.identity_index])
     assert left == (1, mu[0, 2, 1], mu[0, 1, 2])
     assert right == (1, mu[0, 1, 2], mu[0, 2, 1])
 

@@ -15,7 +15,15 @@ from hyperq.checks import Check, Report
 from hyperq.fixtures import delta_quantale, delta_quantale_mutated
 from hyperq.hypergroupoid import check_hg_axioms, from_quantale, to_quantale
 from hyperq.io import load_input
-from hyperq.qsets import check_qset, qmatrix
+from hyperq.qsets import (
+    check_modular_action,
+    check_q_bilinear,
+    check_qfunction,
+    check_qset,
+    qmatrix,
+    qset,
+    quantale_lattice,
+)
 from hyperq.quantale import check_axioms
 from hyperq.realization import orbit_atoms
 
@@ -76,3 +84,43 @@ def test_law_checks_count_what_their_notes_state(name, counts):
     notes = {r.name: r.note for r in results}
     for law in ("Q4", "Q6", "Q7", "Q8", "Q9"):
         assert notes[law].startswith(f"{counts[law]} atom")
+
+
+def _counts(report):
+    return {r.name: r.checked for r in report.results}
+
+
+def test_qset_and_relation_laws_count_their_ranges(real_pair):
+    # the quantale of two points: 4 atoms, the pair orbits (x, y)
+    Q = to_quantale(real_pair.hypergroupoid)
+    points = qmatrix([[{0}, {1}], [{2}, {3}]])
+    # S1, S2', absorption: the n**2 pairs; S2: the n**3 triples
+    assert _counts(check_qset(Q, (0, 1), points)) == {
+        "S1": 4, "S2": 8, "S2'": 4, "absorption": 4}
+    # a failing bracket counts what it decided all the same
+    assert _counts(check_qset(Q, (0, 1), qmatrix([[{0}, {1}], [{1}, {3}]]))) == {
+        "S1": 4, "S2": 8}
+    # from one point into two: ny = 2, nx = 1
+    X, Y = qset(Q, ("*",), qmatrix([[{0}]])), qset(Q, (0, 1), points)
+    counts = {"R1": 4, "R2": 2, "R1'": 2, "R2'": 2, "F1": 4, "F2": 1, "F2'": 1}
+    assert _counts(check_qfunction(Q, X, Y, qmatrix([[{0}], [{2}]]))) == counts
+    discrete = qset(Q, (0, 1), qmatrix([[{0}, set()], [set(), {3}]]))
+    report = check_qfunction(Q, X, discrete, qmatrix([[{0}], [{2}]]))
+    assert not report.result("F1").passed
+    # F2' is decided only when F1 and F2 hold
+    assert _counts(report) == {law: n for law, n in counts.items() if law != "F2'"}
+
+
+def test_module_laws_count_their_ranges():
+    # two atoms acting on the 4 elements of the quantale
+    for Q in (delta_quantale(), delta_quantale_mutated()):
+        action = quantale_lattice(Q)
+        # join-bilinear: 2 bottom rows and 2 * 4 * 4 joins; assoc: 4 * 2 * 2;
+        # unit: 4; modular: 2 * 4 * 4
+        assert _counts(check_modular_action(Q, action)) == {
+            "join-bilinear": 34, "assoc": 16, "unit": 4, "modular": 32}
+        lat = action.lattice
+        for f in (lat.join, [[lat.meet(a, b) for b in range(4)] for a in range(4)]):
+            # bottom: 4 + 4 rows; join-bilinear: 4 * 4 * (4 + 4); cond: 2 * 4 * 4
+            assert _counts(check_q_bilinear(Q, action, action, action, f)) == {
+                "bottom": 8, "join-bilinear": 128, "cond-1": 32, "cond-2": 32, "cond-3": 32}

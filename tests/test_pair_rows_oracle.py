@@ -11,12 +11,22 @@ ones in ``more``, and one sweep in key order.  On the corpus of
 insertion order, with equal composition sets one object, and the weighted
 table and its weights must agree with them.
 
-The commands that never look a pair up (``algebra``, ``kms``, ``atoms``
-and ``evolve``) must leave both views unbuilt on a realized input.
+``orbit_atoms`` counts only the identity rows, whose composite is an
+identity arrow, and builds the whole table when it is first read.  The
+identity rows must be the oracle's entries at identity arrows, in order,
+and the identity subsequence of the whole table.  ``atoms``, ``kms`` and
+``evolve`` read no other row and must leave the whole table unbuilt,
+S6 regular included; ``algebra``, ``check``, ``site`` and ``convolve``
+build it before any output, so a fault put into it must make them exit
+2 with nothing on stdout, under ``python -O`` too.
 """
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import compress
 from operator import add
@@ -24,11 +34,12 @@ from operator import add
 import pytest
 
 from conftest import DATA
-from hyperq import cli
+from hyperq import cli, realization
 from hyperq.fixtures import random_coset_specs
 from hyperq.io import load_input
 from hyperq.realization import (
     PermAction,
+    _pair_rows,
     coset_union_action,
     from_cycles,
     identity_perm,
@@ -134,14 +145,32 @@ def test_views_equal_the_dict_builder(name):
                             for g in range(H.n_arrows))
 
 
-# realized inputs, each with a literal on one of its arrows
-VIEW_INPUTS = [(DATA / "s3_mixed.json", "[a3]"), (DATA / "s3_regular.json", "[a1]"),
-               (DATA / "trivial2.json", "[a1]")]
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_identity_rows_are_counted_apart_in_table_order(name):
+    # the identity rows and values counted with the realization are the
+    # oracle's mu entries at identity arrows, in its order, and the
+    # identity subsequence of the whole table once that is built
+    real = orbit_atoms(CORPUS[name])
+    H, W = real.hypergroupoid, weights(real)
+    assert not {"rows", "keys"} & vars(H).keys()
+    assert "values" not in vars(real) and "values" not in vars(W)
+    src = tuple(real.point_orbit[y] for _, y in real.representative)
+    mu, _ = dict_pair_products(real.membership, real.n_points, real.representative, src)
+    units = set(H.unit_arrow)
+    assert list(zip(*H.identity_rows, real.identity_values)) == [
+        (b, a, c, v) for (c, b, a), v in mu.items() if c in units]
+    assert W.identity_values == real.identity_values
+    at = [i for i, c in enumerate(H.rows[2]) if c in units]
+    assert H.identity_index == at
+    assert H.identity_rows == tuple(tuple(col[i] for i in at) for col in H.rows)
+    assert real.identity_values == tuple(real.values[i] for i in at)
+    assert W.values is real.values
 
 
 def _built(monkeypatch, argv):
-    """(code, built views) of one in-process call: for every realization
-    and weighted table the call made, which of its views exist."""
+    """(code, built parts) of one in-process call: for the realization
+    and weighted table the call made, which of the whole table's parts
+    exist."""
     made = []
 
     def record(func):
@@ -154,28 +183,129 @@ def _built(monkeypatch, argv):
     monkeypatch.setattr(cli, "weights", record(weights))
     code = cli.main(argv)
     real, W = made
+    parts = (("rows", W.base, "rows"), ("real.values", real, "values"),
+             ("W.values", W, "values"), ("real.mu", real, "mu"), ("W.mu", W, "mu"),
+             ("comp", W.base, "comp"))
+    built = {name for name, obj, attr in parts if attr in vars(obj)}
+    # read after the call, which builds the table if the call did not
     assert W.base is real.hypergroupoid and W.values is real.values
-    views = (("real.mu", real, "mu"), ("W.mu", W, "mu"), ("comp", W.base, "comp"))
-    return code, {name for name, obj, attr in views if attr in vars(obj)}
+    return code, built
 
 
-@pytest.mark.parametrize("path, elem", VIEW_INPUTS, ids=lambda v: getattr(v, "stem", v))
-def test_algebra_kms_atoms_and_evolve_build_no_view(path, elem, monkeypatch, capsys):
-    for argv in (["algebra", str(path)], ["algebra", str(path), "--format", "json"],
-                 ["kms", str(path)], ["kms", str(path), "--format", "json"],
-                 ["atoms", str(path)], ["evolve", str(path), "--t", "0.5", "--element", elem]):
-        code, built = _built(monkeypatch, argv)
-        assert code == 0 and built == set(), argv
+def _identity_only_calls(path, formats=("table", "json")):
+    path = str(path)
+    for fmt in formats:
+        yield ["atoms", path, "--format", fmt]
+        yield ["kms", path, "--format", fmt]
+        yield ["evolve", path, "--t", "0.5", "--element", "[a1]", "--format", fmt]
+
+
+@pytest.mark.parametrize("path", ACTIONS, ids=lambda p: p.stem)
+def test_atoms_kms_and_evolve_build_no_table(path, monkeypatch, capsys):
+    for argv in _identity_only_calls(path):
+        assert _built(monkeypatch, argv) == (0, set()), argv
     capsys.readouterr()
 
 
-def test_check_site_and_convolve_build_the_views_they_read(monkeypatch, capsys):
+def test_atoms_kms_and_evolve_build_no_table_at_s6_regular(tmp_path, monkeypatch, capsys):
+    # 720 arrows: the whole table would be 518 400 rows
+    path = tmp_path / "s6_regular.json"
+    path.write_text(json.dumps({
+        "schema": "hyperq/1", "kind": "coset", "name": "s6_regular", "degree": 6,
+        "group_generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]],
+        "subgroups": [{"name": "e", "generators": []}]}))
+    for argv in _identity_only_calls(path, formats=("json",)):
+        assert _built(monkeypatch, argv) == (0, set()), argv
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] != "kms" or (doc["checked"], doc["ok"]) == (720 * 720, True)
+
+
+def test_algebra_check_site_and_convolve_build_the_table(monkeypatch, capsys):
     path = str(DATA / "s3_cosets.json")
-    assert _built(monkeypatch, ["check", path]) == (0, {"comp"})
-    assert _built(monkeypatch, ["site", path]) == (0, {"comp"})
+    table = {"rows", "real.values", "W.values"}
+    assert _built(monkeypatch, ["algebra", path]) == (0, table)
+    assert _built(monkeypatch, ["algebra", path, "--format", "json"]) == (0, table)
+    assert _built(monkeypatch, ["check", path]) == (0, table | {"comp"})
+    assert _built(monkeypatch, ["site", path]) == (0, table | {"comp"})
     assert _built(monkeypatch, ["convolve", path, "--f", "[a1]", "--g", "[a1]"]) == (
-        0, {"comp", "W.mu"})
+        0, table | {"comp", "W.mu"})
+    # a call that composes nothing builds the table all the same
+    assert _built(monkeypatch, ["convolve", path, "--f", "0", "--g", "[a1]"]) == (0, table)
     capsys.readouterr()
+
+
+# faults in the whole table, which only the commands that build it meet:
+# (edit of its rows and values as lists, the error line it gives)
+def _swap_first_rows(rows, values):
+    for col in (*rows, values):
+        col[0], col[1] = col[1], col[0]
+
+
+def _raise_first_identity_value(rows, values):
+    # arrow 0, the orbit of (0, 0), is the identity of the unit of point 0
+    values[rows[2].index(0)] += 1
+
+
+TABLE_FAULTS = {
+    "out-of-order": (_swap_first_rows,
+                     "error: composition rows must strictly increase by src(b), b, a, c\n"),
+    "identity-value": (_raise_first_identity_value,
+                       "error: mu values disagree with the identity values counted first\n"),
+}
+
+
+def edited_pair_rows(fault):
+    """``_pair_rows`` with the whole table, not the identity rows, edited
+    by the named fault of ``TABLE_FAULTS``."""
+    edit = TABLE_FAULTS[fault][0]
+
+    def pair_rows(membership, n, reps, src, arrows=None):
+        rows, values = _pair_rows(membership, n, reps, src, arrows)
+        if arrows is None:
+            rows, values = [list(col) for col in rows], list(values)
+            edit(rows, values)
+        return rows, values
+    return pair_rows
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+def test_a_fault_in_the_whole_table_exits_two_before_any_output(fault, monkeypatch, capsys):
+    monkeypatch.setattr(realization, "_pair_rows", edited_pair_rows(fault))
+    path = str(DATA / "s3_cosets.json")
+    for argv in (["algebra", path], ["algebra", path, "--format", "json"], ["check", path],
+                 ["site", path], ["convolve", path, "--f", "[a1]", "--g", "[a1]"]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", TABLE_FAULTS[fault][1]), argv
+    # the commands that read only the identity rows never meet it
+    for argv in _identity_only_calls(path):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+
+
+_EDITED_CALL = """
+import sys
+import test_pair_rows_oracle
+from hyperq import cli, realization
+realization._pair_rows = test_pair_rows_oracle.edited_pair_rows(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+def test_a_fault_in_the_whole_table_exits_two_in_a_fresh_interpreter(fault, flags):
+    # the checks of a table built on first read are explicit raises, so
+    # the refusal must not depend on assertions being enabled
+    here = pathlib.Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    for command in ("algebra", "check"):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _EDITED_CALL, fault, command,
+             str(DATA / "s3_cosets.json"), "--format", "json"],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", TABLE_FAULTS[fault][1]), command
 
 
 def test_abstract_inputs_keep_their_composition_dict():
