@@ -11,13 +11,19 @@ The defining laws checked by ``check_hg_axioms``:
   HG2  (x y) z = x (y z) as sets, over all composable triples, decided
        one row of z per composable pair (x, y) with y a middle arrow of
        Light's test
-  HG3  x in y z  implies  z in y* x  and  y in x z*
+  HG3  x in y z  implies  z in y* x  and  y in x z*, decided on whole
+       columns by looking up the keys of the rows (y*, x, z) and
+       (x, z*, y)
 
 The composition table is kept as int columns, one row (b, a, c) per
 composite c of each composable pair.  A table may be given by a function
 that builds it: it is then built and checked on first read, and until
 then only its identity rows, whose composite is an identity arrow, are
-held.  The weights and the KMS check read no other row.
+held.  The weights and the KMS check read no other row.  The law checks
+and ``to_quantale`` read the composition sets from the pair table, one
+set per composable pair in row order, indexed by place; the dict
+``comp`` over the same sets is built only for the callers that read it,
+such as the convolution product and morphisms.
 
 Subsets of arrows under pointwise composition form an atomic modular
 quantale; ``to_quantale`` builds its atom table and ``from_quantale``
@@ -32,24 +38,15 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice, repeat
-from operator import add, gt, itemgetter, lt, mul, ne, or_, sub
+from operator import add, gt, lt, mul, ne, or_, sub
 
 from .checks import Report, first_failure
 from .errors import MalformedTable, NotModular
-from .quantale import AtomicQuantale
+from .quantale import AtomicQuantale, gatherer
 
 EMPTY: frozenset[int] = frozenset()
 
 Rows = tuple[Sequence[int], Sequence[int], Sequence[int]]
-
-
-def gatherer(idx):
-    """The function seq -> (seq[i] for i in idx) as a tuple, one C-level
-    ``itemgetter`` call.  ``itemgetter`` returns a bare item for a single
-    index and refuses none, so an ``idx`` that short takes a Python tuple."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda seq: tuple([seq[i] for i in idx])
 
 
 class lazy:
@@ -83,23 +80,22 @@ def pair_starts(rows: Rows) -> list[int]:
         or_, map(ne, islice(b_, 1, None), b_), map(ne, islice(a_, 1, None), a_)))]
 
 
-def comp_view(rows: Rows, n_arrows: int) -> dict[tuple[int, int], frozenset[int]]:
-    """The composition sets of ``rows`` as a dict {(b, a): set}: pairs in
-    row order, equal sets one frozenset."""
-    b_, a_, c_ = rows
+def pair_sets(c_: Sequence[int], starts: Sequence[int], n_arrows: int) -> tuple[frozenset[int], ...]:
+    """The composition set of each pair of rows, in row order, from the
+    composite column and the first row of each pair; equal sets are one
+    frozenset."""
     single = [frozenset((c,)) for c in range(n_arrows)]
-    # each pair first takes the singleton of its last row; only the pairs
+    if len(starts) == len(c_):
+        return gatherer(c_)(single)
+    # each pair first takes the singleton of its first row; only the pairs
     # of two or more rows are then read whole
-    comp = dict(zip(zip(b_, a_), gatherer(c_)(single)))
-    if len(comp) < len(c_):
-        starts = pair_starts(rows)
-        ends = [*starts[1:], len(c_)]
-        shared: dict[tuple[int, ...], frozenset[int]] = {}
-        for i in compress(range(len(starts)), map(gt, map(sub, ends, starts), repeat(1))):
-            s = starts[i]
-            cs = tuple(c_[s:ends[i]])
-            comp[b_[s], a_[s]] = shared.get(cs) or shared.setdefault(cs, frozenset(cs))
-    return comp
+    sets = list(gatherer(gatherer(starts)(c_))(single))
+    ends = [*starts[1:], len(c_)]
+    shared: dict[tuple[int, ...], frozenset[int]] = {}
+    for i in compress(range(len(starts)), map(gt, map(sub, ends, starts), repeat(1))):
+        cs = tuple(c_[starts[i]:ends[i]])
+        sets[i] = shared.get(cs) or shared.setdefault(cs, frozenset(cs))
+    return tuple(sets)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -124,9 +120,11 @@ class Hypergroupoid:
     composite e is an identity arrow, in row order, and
     ``identity_index`` their places in ``rows``.  The weights and the
     KMS check read only these, so a table given by ``build`` that is
-    read no further is never built.  ``comp`` is a read-only dict view in
-    row order, equal sets one frozenset, built on first access (a given
-    dict is its own view); callers must not mutate it."""
+    read no further is never built.  ``pair_table`` holds the composition
+    set of each composable pair in row order, equal sets one frozenset,
+    and ``comp`` is a read-only dict view over those sets; both are built
+    on first access (a given dict is its own view), and callers must not
+    mutate them."""
 
     unit_names: tuple[str, ...]
     arrow_names: tuple[str, ...]
@@ -311,9 +309,36 @@ class Hypergroupoid:
         return pair_starts(self.rows)
 
     @lazy
+    def pair_table(self) -> tuple[tuple[frozenset[int], ...], list[int], list[int]]:
+        """(sets, block, pos): the composition set of each composable pair,
+        in row order, equal sets one frozenset.  The pairs of one b are
+        consecutive and in increasing a, one per a with tgt(a) = src(b),
+        so pair (b, a) is sets[block[b] + pos[a]]: block[b] is the place
+        of b's first pair and pos[a] the place of a among the arrows with
+        a's target."""
+        into = [0] * self.n_units
+        pos = []
+        for u in self.tgt:
+            pos.append(into[u])
+            into[u] += 1
+        block = [0] * self.n_arrows
+        k = 0
+        for b in sorted(range(self.n_arrows), key=self.src.__getitem__):
+            block[b] = k
+            k += into[self.src[b]]
+        # k is the number of pairs: with one row each, the pair starts
+        # are not read
+        c_ = self.rows[2]
+        starts = range(k) if k == len(c_) else self.pair_starts
+        return pair_sets(c_, starts, self.n_arrows), block, pos
+
+    @lazy
     def comp(self) -> dict[tuple[int, int], frozenset[int]]:
-        """(b, a) -> composition set, exactly for the composable pairs."""
-        return comp_view(self.rows, self.n_arrows)
+        """(b, a) -> composition set, exactly for the composable pairs: a
+        dict over the sets of ``pair_table``."""
+        b_, a_, _ = self.rows
+        at = gatherer(self.pair_starts)
+        return dict(zip(zip(at(b_), at(a_)), self.pair_table[0]))
 
     @property
     def n_units(self) -> int:
@@ -368,7 +393,8 @@ def _middles(H: Hypergroupoid) -> list[int]:
     Each pair of a reached arrow and a middle is composed once, when the
     later of the two arrives.  Every arrow is reached, and an arrow that
     is not a middle is reached from middles smaller than itself."""
-    get = H.comp.get
+    sets, block, pos = H.pair_table
+    src, tgt = H.src, H.tgt
     reached = [False] * H.n_arrows
     order: list[int] = []
     middles: list[int] = []
@@ -379,7 +405,8 @@ def _middles(H: Hypergroupoid) -> list[int]:
         middles.append(m)
         new = [m]
         for t in order:
-            for cs in (get((m, t), EMPTY), get((t, m), EMPTY)):
+            for cs in (sets[block[m] + pos[t]] if src[m] == tgt[t] else EMPTY,
+                       sets[block[t] + pos[m]] if src[t] == tgt[m] else EMPTY):
                 if len(cs) == 1:
                     (w,) = cs
                     if not reached[w]:
@@ -390,7 +417,8 @@ def _middles(H: Hypergroupoid) -> list[int]:
         for w in new:
             order.append(w)
             for u in middles:
-                for cs in (get((w, u), EMPTY), get((u, w), EMPTY)):
+                for cs in (sets[block[w] + pos[u]] if src[w] == tgt[u] else EMPTY,
+                           sets[block[u] + pos[w]] if src[u] == tgt[w] else EMPTY):
                     if len(cs) == 1:
                         (v,) = cs
                         if not reached[v]:
@@ -416,50 +444,55 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
     composites, and every arrow is a singleton composite reached from
     middles smaller than itself.  The smallest failing y is therefore a
     middle, and the scan over the middles finds the same first triple
-    as a scan over every y.  HG2 reads only ``comp``, not
-    ``to_quantale``, and finds its own middles, so it stays independent
-    of the quantale check's Q4, which decides the same law on the atom
-    table.
+    as a scan over every y.  HG1 and HG2 read only the ``pair_table``,
+    not ``to_quantale``, and HG2 finds its own middles, so it stays
+    independent of the quantale check's Q4, which decides the same law
+    on the atom table.
 
-    HG3 walks the composable pairs (y, z) and each x in comp(y, z) in
-    ascending order and reports the first failing (x, y, z)."""
+    HG3 is decided on whole columns: for each row (y, z, x), that is
+    x in comp(y, z), the rows (y*, x, z) and (x, z*, y) must be keys of
+    the table.  Only a failing table is searched for its first failing
+    (x, y, z) in (y, z, x) order."""
     results = []
+    n, src, tgt, star = H.n_arrows, H.src, H.tgt, H.star
+    sets, block, pos = H.pair_table
 
     # HG1: the declared identity i of each unit e absorbs on both sides.
     # That includes uniqueness, as the printed note says: another loop j
     # at e absorbing on both sides would give {j} = comp(j, i) = {i}
     hg1_ce = next((
-        (e, x) for e, i in enumerate(H.unit_arrow) for x in range(H.n_arrows)
-        if H.tgt[x] == e and H.compose(i, x) != frozenset((x,))
-        or H.src[x] == e and H.compose(x, i) != frozenset((x,))), None)
-    results.append(first_failure("HG1", hg1_ce, "identity uniqueness included", H.n_arrows))
+        (e, x) for e, i in enumerate(H.unit_arrow) for x in range(n)
+        if tgt[x] == e and sets[block[i] + pos[x]] != frozenset((x,))
+        or src[x] == e and sets[block[x] + pos[i]] != frozenset((x,))), None)
+    results.append(first_failure("HG1", hg1_ce, "identity uniqueness included", n))
 
     # HG2: with z in into[src y], (x y) z is the OR of the rows after[c]
     # over c in x y, and x (y z) the OR of after[x] at the positions of y z
     into: list[list[int]] = [[] for _ in range(H.n_units)]
-    pos = []
-    for g in range(H.n_arrows):
-        pos.append(len(into[H.tgt[g]]))
-        into[H.tgt[g]].append(g)
-    # after[c][pos[z]] is the mask of c z; one int per distinct set
-    mask = {cs: sum(1 << d for d in cs) for cs in set(H.comp.values())}
-    after = [[mask[H.comp[c, z]] for z in into[H.src[c]]] for c in range(H.n_arrows)]
+    for g in range(n):
+        into[tgt[g]].append(g)
+    # after[c][pos[z]] is the mask of c z, read off the pairs of c; one
+    # int per distinct set
+    mask = {cs: sum(1 << d for d in cs) for cs in set(sets)}
+    masks = list(map(mask.__getitem__, sets))
+    after = [masks[block[c]:block[c] + len(into[src[c]])] for c in range(n)]
     hg2_ce = None
     for y in _middles(H):
-        zs = into[H.src[y]]
+        zs = into[src[y]]
         # one gather for the first composite of each y z, then the others
-        yz = [[pos[d] for d in H.comp[y, z]] for z in zs]
-        first = [ds[0] for ds in yz]
+        yz = [[pos[d] for d in cs] for cs in sets[block[y]:block[y] + len(zs)]]
+        first = gatherer([ds[0] for ds in yz])
         rest = [(i, ds[1:]) for i, ds in enumerate(yz) if len(ds) > 1]
-        for x in range(H.n_arrows):
-            if H.src[x] != H.tgt[y]:
+        y_place = pos[y]
+        for x in range(n):
+            if src[x] != tgt[y]:
                 continue
-            cs = iter(H.comp[x, y])
+            cs = iter(sets[block[x] + y_place])
             left = after[next(cs)]
             for c in cs:
                 left = list(map(or_, left, after[c]))
             ax = after[x]
-            right = list(map(ax.__getitem__, first))
+            right = list(first(ax))
             for i, ds in rest:
                 for d in ds:
                     right[i] |= ax[d]
@@ -470,22 +503,25 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
         if hg2_ce:
             break
     # the composable triples (x, y, z): src x = tgt y and tgt z = src y
-    by_src = Counter(H.src)
-    triples = sum(by_src[H.tgt[y]] * len(into[H.src[y]]) for y in range(H.n_arrows))
+    by_src = Counter(src)
+    triples = sum(by_src[tgt[y]] * len(into[src[y]]) for y in range(n))
     results.append(first_failure("HG2", hg2_ce, checked=triples))
 
-    # HG3: x in yz implies z in y*x and y in xz*
+    # HG3: x in yz implies z in y*x and y in xz*, that is, row (y, z, x)
+    # implies rows (y*, x, z) and (x, z*, y), looked up by key
+    y_, z_, x_ = H.rows
+    at_y, at_z, at_x, at_star = gatherer(y_), gatherer(z_), gatherer(x_), gatherer(star)
+    high, mid = H.key_parts
+    keys = set(H.keys)
+    via_y = list(map(add, map(add, at_y(at_star(high)), at_x(mid)), z_))
+    via_z = list(map(add, map(add, at_x(high), at_z(at_star(mid))), y_))
     hg3_ce = None
-    comp, get, star = H.comp, H.comp.get, H.star
-    for y, z in sorted(comp):
-        xs = comp[y, z]
-        for x in sorted(xs) if len(xs) > 1 else xs:
-            if z not in get((star[y], x), EMPTY) or y not in get((x, star[z]), EMPTY):
-                hg3_ce = (x, y, z)
-                break
-        if hg3_ce:
-            break
-    results.append(first_failure("HG3", hg3_ce, checked=len(H.rows[2])))
+    if not (keys.issuperset(via_y) and keys.issuperset(via_z)):
+        # the first failing row in (y, z, x) order, not in row order
+        y, z, x = min((y, z, x) for y, z, x, k, l in zip(y_, z_, x_, via_y, via_z)
+                      if k not in keys or l not in keys)
+        hg3_ce = (x, y, z)
+    results.append(first_failure("HG3", hg3_ce, checked=len(x_)))
 
     return Report(tuple(results))
 
@@ -495,11 +531,17 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
 
 
 def to_quantale(H: Hypergroupoid) -> AtomicQuantale:
-    """Atom table on the arrows; non-composable products are empty."""
-    n = H.n_arrows
-    get = H.comp.get
+    """Atom table on the arrows; non-composable products are empty.  Row
+    b is b's window of the pair table, gathered at the places of the
+    arrows into src(b), with the empty set past its end for the others."""
+    n, src, tgt = H.n_arrows, H.src, H.tgt
+    sets, block, pos = H.pair_table
+    width = [tgt.count(u) for u in range(H.n_units)]
+    gather = [gatherer([pos[a] if tgt[a] == u else width[u] for a in range(n)])
+              for u in range(H.n_units)]
+    tail = (EMPTY,)
     product = tuple(
-        tuple(map(get, zip(repeat(b), range(n)), repeat(EMPTY, n)))
+        gather[src[b]](sets[block[b]:block[b] + width[src[b]]] + tail)
         for b in range(n))
     return AtomicQuantale(
         atom_names=H.arrow_names,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter, or_
 
 from .checks import Report, first_failure
 from .errors import BoundExceeded, MalformedTable
@@ -107,6 +108,15 @@ def q_le(a: QElement, b: QElement) -> bool:
     return a <= b
 
 
+def gatherer(idx):
+    """The function seq -> (seq[i] for i in idx) as a tuple, one C-level
+    ``itemgetter`` call.  ``itemgetter`` returns a bare item for a single
+    index and refuses none, so an ``idx`` that short takes a Python tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple([seq[i] for i in idx])
+
+
 # ---------------------------------------------------------------------------
 # bitmask view
 
@@ -177,31 +187,35 @@ def _first_associativity_failure(P, pid, cells, ys) -> tuple[int, int, int] | No
     """First atom triple (x, y, z) with y in ``ys`` and (x y) z != x (y z).
 
     P[i][j] is the mask of atom product i j, pid[i][j] the index of that
-    product in ``cells``, the list of distinct products."""
+    product in ``cells``, the list of distinct products; the rows of P
+    are tuples."""
     n = len(P)
     # by_z[k][z] is (product k) z, as a mask
     by_z = []
     for cell in cells:
-        if len(cell) == 1:
-            by_z.append(P[cell[0]])
-        else:
-            acc = [0] * n
-            for a in cell:
-                acc = [u | v for u, v in zip(acc, P[a])]
-            by_z.append(acc)
+        acc = P[cell[0]] if cell else (0,) * n
+        for a in cell[1:]:
+            acc = tuple(map(or_, acc, P[a]))
+        by_z.append(acc)
+    # x_by[k] = x (product k) is first gathered at each cell's least atom,
+    # the empty product at the 0 past the end of x's row; the cells of two
+    # or more atoms then take the others
+    firsts = gatherer([cell[0] if cell else n for cell in cells])
+    more = [(k, cell[1:]) for k, cell in enumerate(cells) if len(cell) > 1]
+    # x (y z) over z gathers x_by at the row of y
+    rhs_of = [(y, gatherer(pid[y])) for y in ys]
     for x in range(n):
         Px = P[x]
-        # x_by[k] is x (product k), as a mask
-        x_by = []
-        for cell in cells:
-            m = 0
-            for b in cell:
+        x_by = list(firsts(Px + (0,)))
+        for k, rest in more:
+            m = x_by[k]
+            for b in rest:
                 m |= Px[b]
-            x_by.append(m)
+            x_by[k] = m
         row = pid[x]
-        for y in ys:
+        for y, rhs_at in rhs_of:
             lhs = by_z[row[y]]
-            rhs = [x_by[k] for k in pid[y]]
+            rhs = rhs_at(x_by)
             if lhs != rhs:
                 return x, y, next(z for z in range(n) if lhs[z] != rhs[z])
     return None
@@ -242,7 +256,7 @@ def check_axioms(Q: AtomicQuantale) -> Report:
     for k, cell in enumerate(index):
         index[cell] = k
     pid = [list(map(index.__getitem__, row)) for row in Q.product]
-    P = [list(map(masks.__getitem__, row)) for row in pid]
+    P = [tuple(map(masks.__getitem__, row)) for row in pid]
     units = sorted(Q.units)
 
     def unit_law(x):

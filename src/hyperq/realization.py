@@ -371,13 +371,16 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     tgt = tuple(point_orbit[x] for (x, _) in reps)
     star = tuple(membership[y * n + x] for (x, y) in reps)
     unit_arrow = tuple(membership[pts[0] * (n + 1)] for pts in unit_points)
-    identity_rows, identity_values = _pair_rows(membership, n, reps, src, sorted(unit_arrow))
+    # both counts rank the arrows by source alike
+    by_source = _by_source(src)
+    identity_rows, identity_values = _pair_rows(
+        membership, n, reps, by_source, sorted(unit_arrow))
     counted = []
 
     def table():
         # the whole table, rows and values, counted on the first call
         if not counted:
-            counted.append(_pair_rows(membership, n, reps, src))
+            counted.append(_pair_rows(membership, n, reps, by_source))
         return counted[0]
 
     H = Hypergroupoid(
@@ -403,7 +406,14 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     )
 
 
-def _pair_rows(membership, n, reps, src, arrows=None):
+def _by_source(src) -> tuple[list[int], list[int]]:
+    """(order, rank): the arrows in increasing (src(b), b), and the place
+    of each arrow there."""
+    order = sorted(range(len(src)), key=src.__getitem__)
+    return order, sorted(range(len(src)), key=order.__getitem__)
+
+
+def _pair_rows(membership, n, reps, by_source, arrows=None):
     """Intersection numbers of the pair orbits, as the composition rows
     whose composite is among ``arrows``, given in increasing order, or
     all of them.
@@ -414,13 +424,13 @@ def _pair_rows(membership, n, reps, src, arrows=None):
     p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
     configurations*, 1975).  Each arrow's pairs are counted by one
     ``Counter`` over the integer keys rank(b)*k + a, where b is ranked by
-    (src[b], b), and its keys, counts and c extend three flat columns.
-    One stable sort by key then orders the rows by src[b], b, a and, as
-    arrows are taken in increasing c, c.  Returns the rows (b, a, c) and
-    the value column <c | b, a>."""
+    (src[b], b), as ``by_source`` = ``_by_source(src)`` ranks it, and its
+    keys, counts and c extend three flat columns.  One stable sort by key
+    then orders the rows by src[b], b, a and, as arrows are taken in
+    increasing c, c.  Returns the rows (b, a, c) and the value column
+    <c | b, a>."""
     k = len(reps)
-    order = sorted(range(k), key=src.__getitem__)
-    rank = sorted(range(k), key=order.__getitem__)   # the inverse of order
+    order, rank = by_source
     rows: dict[int, list[int]] = {}
     keys: list[int] = []
     cs: list[int] = []

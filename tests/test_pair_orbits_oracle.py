@@ -20,11 +20,12 @@ import pytest
 from conftest import DATA
 from hyperq.algebra import mu_view
 from hyperq.fixtures import random_coset_specs
-from hyperq.hypergroupoid import comp_view
+from hyperq.hypergroupoid import Hypergroupoid
 from hyperq.io import load_input
 from hyperq.realization import (
     CosetSpec,
     PermAction,
+    _by_source,
     _pair_rows,
     coset_union_action,
     enumerate_group,
@@ -69,9 +70,11 @@ def _assert_same_as_walk(action: PermAction):
     assert real.membership == membership
     assert real.representative == tuple(reps)
     assert real.orbit_size == tuple(sizes)
-    src = tuple(real.point_orbit[y] for _, y in reps)
-    rows, values = _pair_rows(membership, action.n_points, reps, src)
-    mu, comp = mu_view(rows, values), comp_view(rows, len(reps))
+    H = real.hypergroupoid
+    rows, values = _pair_rows(membership, action.n_points, reps, _by_source(H.src))
+    mu = mu_view(rows, values)
+    comp = Hypergroupoid(H.unit_names, H.arrow_names, H.src, H.tgt, H.star, H.unit_arrow,
+                         rows=rows).comp
     assert list(real.mu.items()) == list(mu.items())
     assert list(real.hypergroupoid.comp.items()) == list(comp.items())
 

@@ -225,8 +225,9 @@ def test_algebra_check_site_and_convolve_build_the_table(monkeypatch, capsys):
     table = {"rows", "real.values", "W.values"}
     assert _built(monkeypatch, ["algebra", path]) == (0, table)
     assert _built(monkeypatch, ["algebra", path, "--format", "json"]) == (0, table)
-    assert _built(monkeypatch, ["check", path]) == (0, table | {"comp"})
-    assert _built(monkeypatch, ["site", path]) == (0, table | {"comp"})
+    # check and site read the pair table, never the comp dict
+    assert _built(monkeypatch, ["check", path]) == (0, table)
+    assert _built(monkeypatch, ["site", path]) == (0, table)
     assert _built(monkeypatch, ["convolve", path, "--f", "[a1]", "--g", "[a1]"]) == (
         0, table | {"comp", "W.mu"})
     # a call that composes nothing builds the table all the same
@@ -259,8 +260,8 @@ def edited_pair_rows(fault):
     by the named fault of ``TABLE_FAULTS``."""
     edit = TABLE_FAULTS[fault][0]
 
-    def pair_rows(membership, n, reps, src, arrows=None):
-        rows, values = _pair_rows(membership, n, reps, src, arrows)
+    def pair_rows(membership, n, reps, by_source, arrows=None):
+        rows, values = _pair_rows(membership, n, reps, by_source, arrows)
         if arrows is None:
             rows, values = [list(col) for col in rows], list(values)
             edit(rows, values)
