@@ -9,6 +9,8 @@ The same data is exposed on the lattice side as an atomic quantale with
 its axioms, its site, and Q-valued sets and matrices over it.
 """
 
+from importlib import import_module as _import_module
+
 from .errors import (
     BoundExceeded,
     DimensionMismatch,
@@ -79,31 +81,6 @@ from .algebra import (
     star,
     validate_weights,
 )
-from .qsets import (
-    FiniteLattice,
-    ProjObject,
-    QSet,
-    QuantaleMatrix,
-    RightAction,
-    build_lattice,
-    check_modular_action,
-    check_q_bilinear,
-    check_qfunction,
-    check_qrelation,
-    check_qset,
-    identity_matrix,
-    is_functional,
-    is_proj_morphism,
-    is_proj_object,
-    matmul,
-    proj_object,
-    qmatrix,
-    qset,
-    quantale_lattice,
-    singleton_qset,
-    star_transpose,
-    zero_matrix,
-)
 from .io import (
     InputSpec,
     format_complex,
@@ -113,6 +90,31 @@ from .io import (
     parse_input,
 )
 
+# the Q-valued sets are exported on first use (PEP 562), so that importing
+# the command line, which never reads them, does not load them
+_QSETS_NAMES = frozenset("""
+    FiniteLattice ProjObject QSet QuantaleMatrix RightAction build_lattice
+    check_modular_action check_q_bilinear check_qfunction check_qrelation
+    check_qset identity_matrix is_functional is_proj_morphism
+    is_proj_object matmul proj_object qmatrix qset quantale_lattice
+    singleton_qset star_transpose zero_matrix
+""".split())
+
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 | _QSETS_NAMES | {"qsets"})
+
+
+def __getattr__(name):
+    if name in _QSETS_NAMES or name == "qsets":
+        qsets = _import_module(".qsets", __name__)
+        return qsets if name == "qsets" else getattr(qsets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # the names an eager import of qsets would show, with the submodules
+    # imported since
+    return sorted({*globals(), *_QSETS_NAMES, "qsets"}
+                  - {"__getattr__", "__dir__", "_import_module", "_QSETS_NAMES"})

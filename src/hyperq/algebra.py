@@ -36,8 +36,8 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import add, itemgetter, mul as times
+from itertools import accumulate, repeat
+from operator import add, itemgetter, mul as times, sub
 
 from .checks import Check, Report
 from .errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
@@ -234,9 +234,16 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
     # the murel-1 terms v |a|_l, summed per (g, g') by murel-3
     terms = list(map(times, values, at_a(left)))
     starts = H.pair_starts
+    ends = [*starts[1:], len(terms)]
     at_pair = gatherer(starts)
-    pairs = list(zip(at_pair(g_), at_pair(gp_)))
-    totals = map(sum, map(terms.__getitem__, map(slice, starts, [*starts[1:], len(terms)])))
+    pair_g, pair_gp = at_pair(g_), at_pair(gp_)
+    # each pair's total is the difference of a running sum at its ends,
+    # unless a term is infinite: that cannot be taken back out
+    run = [0, *accumulate(terms)]
+    if run[-1] is INF:
+        totals = map(sum, map(terms.__getitem__, map(slice, starts, ends)))
+    else:
+        totals = map(sub, gatherer(ends)(run), gatherer(starts)(run))
     return Report((
         _law("left-def", arrows, left, dleft),
         _law("right-def", arrows, right, dright),
@@ -247,7 +254,8 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
              map(times, entries(at_g(high_star), at_a(mid), gp_), at_gp(left))),
         _law("murel-2", zip(a_, g_, gp_), map(times, values, at_a(right)),
              map(times, entries(at_a(high), at_gp(mid_star), g_), at_g(right))),
-        _law("murel-3", pairs, [left[g] * left[gp] for g, gp in pairs], totals),
+        _law("murel-3", zip(pair_g, pair_gp),
+             map(times, gatherer(pair_g)(left), gatherer(pair_gp)(left)), totals),
     ))
 
 

@@ -80,6 +80,13 @@ def pair_starts(rows: Rows) -> list[int]:
         or_, map(ne, islice(b_, 1, None), b_), map(ne, islice(a_, 1, None), a_)))]
 
 
+def source_order(src: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(order, rank): the arrows in increasing (src(b), b), and the place
+    of each arrow there."""
+    order = sorted(range(len(src)), key=src.__getitem__)
+    return order, sorted(range(len(src)), key=order.__getitem__)
+
+
 def pair_sets(c_: Sequence[int], starts: Sequence[int], n_arrows: int) -> tuple[frozenset[int], ...]:
     """The composition set of each pair of rows, in row order, from the
     composite column and the first row of each pair; equal sets are one
@@ -277,15 +284,18 @@ class Hypergroupoid:
         return sum(map(mul, map(self.src.count, units), map(self.tgt.count, units)))
 
     @lazy
+    def by_source(self) -> tuple[list[int], list[int]]:
+        """``source_order(src)``, the one ranking of the arrows by source
+        that the row keys and the pair table read."""
+        return source_order(self.src)
+
+    @lazy
     def key_parts(self) -> tuple[list[int], list[int]]:
         """(high, mid): row (b, a, c) has the key high[b] + mid[a] + c,
         where high[b] = rank(b) n**2, rank(b) the place of b in the order
         by (src(b), b), and mid[a] = a n."""
         n = self.n_arrows
-        high = [0] * n
-        for r, b in enumerate(sorted(range(n), key=self.src.__getitem__)):
-            high[b] = r * n * n
-        return high, [a * n for a in range(n)]
+        return [r * n * n for r in self.by_source[1]], [a * n for a in range(n)]
 
     @lazy
     def keys(self) -> list[int]:
@@ -323,7 +333,7 @@ class Hypergroupoid:
             into[u] += 1
         block = [0] * self.n_arrows
         k = 0
-        for b in sorted(range(self.n_arrows), key=self.src.__getitem__):
+        for b in self.by_source[0]:
             block[b] = k
             k += into[self.src[b]]
         # k is the number of pairs: with one row each, the pair starts

@@ -11,13 +11,16 @@ relations
 
 matches "apply a, then b".  The pair orbits meeting row x0, the least
 point of a point orbit O, are the orbits of the stabilizer G_x0 on the
-points, whose generators Schreier's lemma reads off a breadth-first
-Schreier tree of O (C. C. Sims, *Computational methods in the study of
-permutation groups*, 1970).  That row is labelled once, by least point;
-each other row x of O is the same labels read through the tree element
-taking x to x0.  So arrow ids follow the row-major order of least
-pairs, and each arrow's stored representative is its lexicographically
-least pair (x0, least point of its suborbit).
+points.  On a coset space G/K the least point is the coset K itself,
+so G_x0 = K and its generators are K's, read off the input; an action
+given by its generators alone has them read by Schreier's lemma off a
+breadth-first Schreier tree of O (C. C. Sims, *Computational methods in
+the study of permutation groups*, 1970).  That row is labelled once, by
+least point; each other row x of O is the same labels read through the
+element taking x to x0 that a Schreier tree of O gives, in either case.
+So arrow ids follow the row-major order of least pairs, and each
+arrow's stored representative is its lexicographically least pair (x0,
+least point of its suborbit).
 
 Structure constants are pair counts
 
@@ -57,7 +60,7 @@ from operator import add
 
 from .algebra import WeightedHypergroupoid, derived_weights, identity_checked, mu_view
 from .errors import HyperqError, OrderBoundExceeded
-from .hypergroupoid import Hypergroupoid, Rows, gatherer, lazy
+from .hypergroupoid import Hypergroupoid, Rows, gatherer, lazy, source_order
 
 Perm = tuple[int, ...]
 
@@ -140,10 +143,20 @@ def enumerate_group(
 
 @dataclass(frozen=True)
 class PermAction:
-    """A finite set {0..n_points-1} with a list of generating permutations."""
+    """A finite set {0..n_points-1} with a list of generating permutations.
+
+    ``stabilizers`` is set only by ``coset_union_action``, which knows
+    them: one tuple per point orbit, in order of least point, of
+    generators of the stabilizer of that orbit's least point, as
+    permutations of all the points.  It is not an argument, so neither
+    a constructor call nor ``replace`` can give stale or wrong ones (an
+    action built from generators alone has None), and it is not
+    compared."""
 
     n_points: int
     generators: tuple[Perm, ...]
+    stabilizers: tuple[tuple[Perm, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -170,14 +183,14 @@ class CosetSpec:
 
 
 def coset_partition(elements: list[Perm], index: dict[Perm, int],
-                    k_elements) -> tuple[list[list[int]], list[int]]:
+                    k_elements, first: int = 0) -> tuple[list[list[int]], list[int]]:
     """Left cosets gK of the listed group, as a partition of element indexes.
 
     ``index`` maps each element to its position.  g sweeps the elements
     in list order, and each g not yet placed opens the class of the
     indexes of g k over all k in K, sorted; so g is its class's least
     member and classes come out ordered by it.  Returns (classes,
-    membership)."""
+    membership), membership labelling classes[i] first + i."""
     steps = [gatherer(k) for k in k_elements]   # g -> g k
     membership = [-1] * len(elements)
     classes: list[list[int]] = []
@@ -185,19 +198,21 @@ def coset_partition(elements: list[Perm], index: dict[Perm, int],
         if membership[i] < 0:
             coset = sorted([index[step(g)] for step in steps])
             for j in coset:
-                membership[j] = len(classes)
+                membership[j] = first + len(classes)
             classes.append(coset)
     return classes, membership
 
 
 def coset_space(spec: CosetSpec, k: int) -> PermAction:
-    """The action of the spec's generators on left cosets of subgroup k."""
+    """The action of the spec's generators on left cosets of subgroup k,
+    with the stabilizer of its least point."""
     return coset_union_action(replace(spec, subgroups=(spec.subgroups[k],)))
 
 
 def disjoint_union(actions) -> PermAction:
     """Block union of actions of the same group presentation (the i-th
-    generators are identified across the summands)."""
+    generators are identified across the summands).  The summands'
+    stabilizers are dropped: they need not be images of one group."""
     actions = list(actions)
     if not actions:
         raise ValueError("disjoint_union of no actions")
@@ -218,22 +233,35 @@ def disjoint_union(actions) -> PermAction:
 
 def coset_union_action(spec: CosetSpec) -> PermAction:
     """Disjoint union of the coset actions of every listed subgroup; the
-    group and its index are built once for all of them."""
+    group and its index are built once for all of them.
+
+    The group is listed from the identity and each coset space's classes
+    by least member, so the least point of the coset space of K is K
+    itself, whose stabilizer is K: the action carries the images of K's
+    generators as that orbit's stabilizer."""
     elements = enumerate_group(spec.group_generators, spec.degree)
     index = {g: i for i, g in enumerate(elements)}
-    actions = []
+    # per point gK of the union: h -> h g, g the class's least member, and
+    # the labels of its coset space's classes, counted from its block's start
+    steps: list[Callable[[Perm], Perm]] = []
+    labels: list[list[int]] = []
     for name, k_gens in spec.subgroups:
         for g in k_gens:
             if tuple(g) not in index:
                 raise ValueError(f"subgroup {name!r} generator outside the group")
         classes, membership = coset_partition(
-            elements, index, enumerate_group(k_gens, spec.degree))
-        # left multiplication s(gK) = (sg)K, g the class's least member
-        steps = [gatherer(elements[c[0]]) for c in classes]   # s -> s g
-        gens = tuple(tuple(membership[index[step(s)]] for step in steps)
-                     for s in spec.group_generators)
-        actions.append(PermAction(n_points=len(classes), generators=gens))
-    return disjoint_union(actions)
+            elements, index, enumerate_group(k_gens, spec.degree), len(steps))
+        steps += [gatherer(elements[c[0]]) for c in classes]
+        labels += repeat(membership, len(classes))
+
+    def image(h) -> Perm:
+        # left multiplication h(gK) = (hg)K, on every point
+        return tuple([label[index[step(h)]] for step, label in zip(steps, labels)])
+
+    action = PermAction(len(steps), tuple(map(image, spec.group_generators)))
+    object.__setattr__(action, "stabilizers",
+                       tuple(tuple(map(image, k_gens)) for _, k_gens in spec.subgroups))
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -307,49 +335,59 @@ def _point_orbits(n: int, generators) -> tuple[list[int], list[list[int]]]:
     return orbit, groups
 
 
-def _schreier(generators, x0: int, n: int) -> tuple[dict[int, Perm], set[Perm]]:
-    """A Schreier tree of the orbit of x0, and generators of its stabilizer.
+def _schreier(generators, x0: int, n: int,
+              stabilizer: bool) -> tuple[dict[int, Perm], set[Perm]]:
+    """A Schreier tree of the orbit of x0, and, if ``stabilizer``,
+    generators of its stabilizer.
 
     Breadth-first from x0: tinv[x] maps x to x0, and its inverse t[x] is
-    kept while x is on the frontier.  An edge y = s x off the tree gives
-    tinv[y] s t[x], which fixes x0; by Schreier's lemma these generate the
-    stabilizer.  Returns tinv and the distinct non-identity ones."""
+    kept while x is on the frontier, only when the generators are asked
+    for.  An edge y = s x off the tree gives tinv[y] s t[x], which fixes
+    x0; by Schreier's lemma these generate the stabilizer.  Returns tinv
+    and the distinct non-identity ones, none if not asked for."""
     e = identity_perm(n)
     steps = [(s, gatherer(s), gatherer(perm_inv(s))) for s in generators]
     tinv = {x0: e}
     found: set[Perm] = set()
-    frontier = [(x0, e)]
+    frontier = [(x0, e if stabilizer else None)]
     while frontier:
         nxt = []
         for x, t in frontier:
-            after_t = gatherer(t)   # p -> p t
+            after_t = t and gatherer(t)   # p -> p t
             for s, after_s, after_s_inv in steps:
                 y = s[x]
-                if y in tinv:
+                if y not in tinv:
+                    tinv[y] = after_s_inv(tinv[x])
+                    nxt.append((y, after_t and after_t(s)))
+                elif after_t:
                     h = after_t(after_s(tinv[y]))
                     if h != e:
                         found.add(h)
-                else:
-                    tinv[y] = after_s_inv(tinv[x])
-                    nxt.append((y, after_t(s)))
         frontier = nxt
     return tinv, found
 
 
-def _pair_orbits(n: int, generators, unit_points):
+def _pair_orbits(action: PermAction, unit_points):
     """Pair-orbit labels, one flat list indexed x*n + y, with each orbit's
     least pair and size; ids in row-major order of least pairs.
 
     The orbits through row x0, the least point of a point orbit O, are
     the orbits of the stabilizer of x0, numbered by least point; each
     other row x of O is that row read through tinv[x], since (x, y) and
-    (x0, tinv[x] y) share an orbit."""
+    (x0, tinv[x] y) share an orbit.  The stabilizer's generators are the
+    action's own when it has them, else Schreier's."""
+    n, generators, stabilizers = action.n_points, action.generators, action.stabilizers
+    if stabilizers is not None and len(stabilizers) != len(unit_points):
+        raise ValueError("stabilizers must list one tuple per point orbit")
     membership = [0] * (n * n)
     reps: list[tuple[int, int]] = []
     sizes: list[int] = []
-    for points in unit_points:
+    for o, points in enumerate(unit_points):
         x0 = points[0]
-        tinv, stabilizer = _schreier(generators, x0, n)
+        tinv, found = _schreier(generators, x0, n, stabilizers is None)
+        stabilizer = found if stabilizers is None else stabilizers[o]
+        if any(s[x0] != x0 for s in stabilizer):
+            raise ValueError(f"a stabilizer generator moves point {x0}")
         suborbit, suborbits = _point_orbits(n, stabilizer)
         row = [len(reps) + k for k in suborbit]
         reps += [(x0, sub[0]) for sub in suborbits]
@@ -366,13 +404,13 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     when the rows or values are first read."""
     n = action.n_points
     point_orbit, unit_points = _point_orbits(n, action.generators)
-    membership, reps, sizes = _pair_orbits(n, action.generators, unit_points)
+    membership, reps, sizes = _pair_orbits(action, unit_points)
     src = tuple(point_orbit[y] for (_, y) in reps)
     tgt = tuple(point_orbit[x] for (x, _) in reps)
     star = tuple(membership[y * n + x] for (x, y) in reps)
     unit_arrow = tuple(membership[pts[0] * (n + 1)] for pts in unit_points)
     # both counts rank the arrows by source alike
-    by_source = _by_source(src)
+    by_source = source_order(src)
     identity_rows, identity_values = _pair_rows(
         membership, n, reps, by_source, sorted(unit_arrow))
     counted = []
@@ -406,13 +444,6 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     )
 
 
-def _by_source(src) -> tuple[list[int], list[int]]:
-    """(order, rank): the arrows in increasing (src(b), b), and the place
-    of each arrow there."""
-    order = sorted(range(len(src)), key=src.__getitem__)
-    return order, sorted(range(len(src)), key=order.__getitem__)
-
-
 def _pair_rows(membership, n, reps, by_source, arrows=None):
     """Intersection numbers of the pair orbits, as the composition rows
     whose composite is among ``arrows``, given in increasing order, or
@@ -424,7 +455,7 @@ def _pair_rows(membership, n, reps, by_source, arrows=None):
     p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
     configurations*, 1975).  Each arrow's pairs are counted by one
     ``Counter`` over the integer keys rank(b)*k + a, where b is ranked by
-    (src[b], b), as ``by_source`` = ``_by_source(src)`` ranks it, and its
+    (src[b], b), as ``by_source`` = ``source_order(src)`` ranks it, and its
     keys, counts and c extend three flat columns.  One stable sort by key
     then orders the rows by src[b], b, a and, as arrows are taken in
     increasing c, c.  Returns the rows (b, a, c) and the value column

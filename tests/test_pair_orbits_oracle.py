@@ -25,7 +25,6 @@ from hyperq.io import load_input
 from hyperq.realization import (
     CosetSpec,
     PermAction,
-    _by_source,
     _pair_rows,
     coset_union_action,
     enumerate_group,
@@ -71,7 +70,7 @@ def _assert_same_as_walk(action: PermAction):
     assert real.representative == tuple(reps)
     assert real.orbit_size == tuple(sizes)
     H = real.hypergroupoid
-    rows, values = _pair_rows(membership, action.n_points, reps, _by_source(H.src))
+    rows, values = _pair_rows(membership, action.n_points, reps, H.by_source)
     mu = mu_view(rows, values)
     comp = Hypergroupoid(H.unit_names, H.arrow_names, H.src, H.tgt, H.star, H.unit_arrow,
                          rows=rows).comp
