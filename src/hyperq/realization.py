@@ -9,18 +9,23 @@ relations
 
     comp(b, a) = { orbit(x, y) | exists z with (x, z) in b, (z, y) in a }
 
-matches "apply a, then b".  The pair orbits meeting row x0, the least
-point of a point orbit O, are the orbits of the stabilizer G_x0 on the
-points.  On a coset space G/K the least point is the coset K itself,
-so G_x0 = K and its generators are K's, read off the input; an action
-given by its generators alone has them read by Schreier's lemma off a
-breadth-first Schreier tree of O (C. C. Sims, *Computational methods in
-the study of permutation groups*, 1970).  That row is labelled once, by
-least point; each other row x of O is the same labels read through the
-element taking x to x0 that a Schreier tree of O gives, in either case.
-So arrow ids follow the row-major order of least pairs, and each
-arrow's stored representative is its lexicographically least pair (x0,
-least point of its suborbit).
+matches "apply a, then b".
+
+A coset input's points are the cosets gK in order of least member in
+G's breadth-first listing, which holds g as the bytes of g^-1 up to
+degree 256: a step g -> g s is then one ``bytes.translate``.  The pair
+orbits meeting row x0, the least point of a point orbit O, are the
+orbits of the stabilizer G_x0 on the points.  On a coset space G/K the
+least point is the coset K itself, so G_x0 = K and its generators are
+K's, read off the input; an action given by its generators alone has
+them read by Schreier's lemma off a breadth-first Schreier tree of O
+(C. C. Sims, *Computational methods in the study of permutation
+groups*, 1970).  That row is labelled once, by least point; each other
+row x of O is the same labels read through the element taking x to x0
+that a Schreier tree of O gives, in either case.  So arrow ids follow
+the row-major order of least pairs, and each arrow's stored
+representative is its lexicographically least pair (x0, least point of
+its suborbit).
 
 Structure constants are pair counts
 
@@ -101,6 +106,41 @@ def _check_perm(p, degree: int):
         raise ValueError(f"not a permutation of degree {degree}: {p!r}")
 
 
+def _codec(degree: int):
+    """(encode, table, compose): how an element g is held while a group is
+    listed, with compose(encode(g), table(encode(s))) == encode(g s).  Up
+    to degree 256 encode(g) is the bytes of g^-1, and encode(g s) = s^-1
+    g^-1 is one ``bytes.translate``; above, the tuple g and one
+    ``itemgetter`` call.  tuple(encode(y)) is the element held as y."""
+    if degree <= 256:
+        pad = bytes(range(degree, 256))
+        return (lambda p: bytes(perm_inv(p))), (lambda y: y + pad), bytes.translate
+    return tuple, gatherer, lambda y, t: t(y)
+
+
+def _bfs(generators, degree: int, order_bound: int, codec) -> dict:
+    """The generated group, held as ``codec`` holds it, each element mapped
+    to its place breadth-first from the identity by generators in order."""
+    encode, table, compose = codec
+    steps = [table(encode(s)) for s in generators]
+    index = {encode(range(degree)): 0}
+    add = index.setdefault
+    n = 1
+    frontier = list(index)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for t in steps:
+                y = compose(x, t)
+                if add(y, n) == n:
+                    n += 1
+                    if n > order_bound:
+                        raise OrderBoundExceeded(f"group order exceeds bound {order_bound}")
+                    nxt.append(y)
+        frontier = nxt
+    return index
+
+
 def enumerate_group(
     generators,
     degree: int | None = None,
@@ -108,7 +148,8 @@ def enumerate_group(
 ) -> list[Perm]:
     """All elements of the generated group, breadth-first from the identity
     multiplying by generators in input order.  The returned order is the
-    deterministic BFS discovery order."""
+    deterministic BFS discovery order, the order ``coset_union_action``
+    lists the group in."""
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
@@ -116,25 +157,8 @@ def enumerate_group(
         degree = len(gens[0])
     for g in gens:
         _check_perm(g, degree)
-    steps = [gatherer(s) for s in gens]   # x -> x s
-    e = identity_perm(degree)
-    elements = [e]
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for step in steps:
-                y = step(x)
-                if y not in seen:
-                    if len(elements) >= order_bound:
-                        raise OrderBoundExceeded(
-                            f"group order exceeds bound {order_bound}")
-                    seen.add(y)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elements
+    codec = _codec(degree)
+    return [tuple(codec[0](y)) for y in _bfs(gens, degree, order_bound, codec)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +206,6 @@ class CosetSpec:
                 _check_perm(g, self.degree)
 
 
-def coset_partition(elements: list[Perm], index: dict[Perm, int],
-                    k_elements, first: int = 0) -> tuple[list[list[int]], list[int]]:
-    """Left cosets gK of the listed group, as a partition of element indexes.
-
-    ``index`` maps each element to its position.  g sweeps the elements
-    in list order, and each g not yet placed opens the class of the
-    indexes of g k over all k in K, sorted; so g is its class's least
-    member and classes come out ordered by it.  Returns (classes,
-    membership), membership labelling classes[i] first + i."""
-    steps = [gatherer(k) for k in k_elements]   # g -> g k
-    membership = [-1] * len(elements)
-    classes: list[list[int]] = []
-    for i, g in enumerate(elements):
-        if membership[i] < 0:
-            coset = sorted([index[step(g)] for step in steps])
-            for j in coset:
-                membership[j] = first + len(classes)
-            classes.append(coset)
-    return classes, membership
-
-
 def coset_space(spec: CosetSpec, k: int) -> PermAction:
     """The action of the spec's generators on left cosets of subgroup k,
     with the stabilizer of its least point."""
@@ -235,30 +238,37 @@ def coset_union_action(spec: CosetSpec) -> PermAction:
     """Disjoint union of the coset actions of every listed subgroup; the
     group and its index are built once for all of them.
 
-    The group is listed from the identity and each coset space's classes
-    by least member, so the least point of the coset space of K is K
-    itself, whose stabilizer is K: the action carries the images of K's
-    generators as that orbit's stabilizer."""
-    elements = enumerate_group(spec.group_generators, spec.degree)
-    index = {g: i for i, g in enumerate(elements)}
-    # per point gK of the union: h -> h g, g the class's least member, and
-    # the labels of its coset space's classes, counted from its block's start
-    steps: list[Callable[[Perm], Perm]] = []
-    labels: list[list[int]] = []
+    The group is listed once, breadth-first from the identity as
+    ``enumerate_group`` lists it, into one dict that is both its seen-set
+    and its index.  In that order each element g not yet placed opens
+    the next point gK, so points come in order of least member, the
+    least point of G/K is K, and its stabilizer is K: the action carries
+    the images of K's generators as that orbit's stabilizer."""
+    codec = encode, table, compose = _codec(spec.degree)
+    index = _bfs(spec.group_generators, spec.degree, GROUP_ORDER_BOUND, codec)
+    # per point gK of the union: the table of g, its least member, and the
+    # point each element lies in, in the coset space of gK
+    tables, labels = [], []
     for name, k_gens in spec.subgroups:
         for g in k_gens:
-            if tuple(g) not in index:
+            if encode(g) not in index:
                 raise ValueError(f"subgroup {name!r} generator outside the group")
-        classes, membership = coset_partition(
-            elements, index, enumerate_group(k_gens, spec.degree), len(steps))
-        steps += [gatherer(elements[c[0]]) for c in classes]
-        labels += repeat(membership, len(classes))
+        # K's keys are its elements encoded: their tables step by every k in K
+        k_tables = list(map(table, _bfs(k_gens, spec.degree, GROUP_ORDER_BOUND, codec)))
+        label = [-1] * len(index)
+        for i, g in enumerate(index):
+            if label[i] < 0:
+                for t in k_tables:
+                    label[index[compose(g, t)]] = len(tables)
+                tables.append(table(g))
+                labels.append(label)
 
     def image(h) -> Perm:
         # left multiplication h(gK) = (hg)K, on every point
-        return tuple([label[index[step(h)]] for step, label in zip(steps, labels)])
+        h = encode(h)
+        return tuple([label[index[compose(h, t)]] for t, label in zip(tables, labels)])
 
-    action = PermAction(len(steps), tuple(map(image, spec.group_generators)))
+    action = PermAction(len(tables), tuple(map(image, spec.group_generators)))
     object.__setattr__(action, "stabilizers",
                        tuple(tuple(map(image, k_gens)) for _, k_gens in spec.subgroups))
     return action

@@ -35,7 +35,6 @@ from hyperq.hypergroupoid import (
 from hyperq.io import load_input
 from hyperq.quantale import AtomicQuantale, is_grothendieck
 from hyperq.realization import (
-    coset_partition,
     coset_union_action,
     enumerate_group,
     from_cycles,
@@ -43,6 +42,7 @@ from hyperq.realization import (
 )
 
 from conftest import DATA
+from test_realization import _union_find_cosets
 
 
 def test_axioms_pass_on_realized_fixtures(all_realized):
@@ -348,8 +348,7 @@ def _quotient_arrow_map(real_regular, real_cosets):
     """Arrow map of the projection onto the coset block: an arrow's
     representative pair maps to the orbit of its cosets."""
     elements = enumerate_group(s3_generators(), 3)
-    index = {g: i for i, g in enumerate(elements)}
-    _, cls = coset_partition(elements, index, enumerate_group((from_cycles(3, (0, 1)),), 3))
+    _, cls = _union_find_cosets(elements, (from_cycles(3, (0, 1)),))
     out = []
     for (x, y) in real_regular.representative:
         out.append(real_cosets.membership[cls[x] * 3 + cls[y]])

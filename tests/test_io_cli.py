@@ -627,6 +627,26 @@ def test_coset_input_without_subgroups_exits_two(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("degree, group, subgroup, message", [
+    # S8, of order 40 320, on itself
+    (8, [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]], [],
+     "error: group order exceeds bound 10000"),
+    # C4 does not contain the transposition (0 1)
+    (4, [[1, 2, 3, 0]], [[1, 0, 2, 3]],
+     "input error: invalid coset input: subgroup 'k' generator outside the group"),
+], ids=["order_bound", "outside_generator"])
+def test_coset_group_errors_exit_two(tmp_path, flags, degree, group, subgroup, message):
+    path = tmp_path / "coset.json"
+    path.write_text(json.dumps({
+        "schema": "hyperq/1", "kind": "coset", "name": "coset", "degree": degree,
+        "group_generators": group, "subgroups": [{"name": "k", "generators": subgroup}]}))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "hyperq.cli", "atoms", str(path)],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_kms_with_an_infinite_identity_entry_exits_two(tmp_path, flags, fmt):
     # <1|d,d> = inf with chi(d) = 3/3 defined: the pair (d, d) is

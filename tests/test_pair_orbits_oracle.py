@@ -9,7 +9,8 @@ give the same ``membership``, ``representative`` and ``orbit_size``, and
 so the same ``mu`` and ``comp``, in the same order.
 
 The composers of ``perm_mul`` and ``enumerate_group`` are checked at
-degrees 0, 1, 2 and 4, where ``itemgetter`` needs its guard.
+degrees 0, 1, 2 and 4, where ``itemgetter`` needs its guard, and at 255,
+256 and 257, where ``enumerate_group`` stops holding elements as bytes.
 """
 
 import json
@@ -174,21 +175,26 @@ def _bfs_elements(gens, degree):
     return elements
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2, 4, 255, 256, 257])
 def test_perm_mul_and_enumerate_group_at_small_degrees(degree):
+    # each permutation moves only the top four points, so every group
+    # here has order at most 24
     rng = random.Random(degree)
+    top = range(max(0, degree - 4), degree)
     perms = []
     for _ in range(6):
         p = list(range(degree))
-        rng.shuffle(p)
+        moved = list(top)
+        rng.shuffle(moved)
+        p[top.start:] = moved
         perms.append(tuple(p))
     for p in perms:
         for q in perms:
             assert perm_mul(p, q) == _compose(p, q)
             assert type(perm_mul(p, q)) is tuple
     gen_sets = [(), perms[:1], perms[:2], [perms[0], identity_perm(degree), perms[0]]]
-    if degree == 4:
-        gen_sets.append([from_cycles(4, (0, 1)), from_cycles(4, (0, 1, 2, 3))])
+    if degree >= 4:
+        gen_sets.append([from_cycles(degree, tuple(top[:2])), from_cycles(degree, tuple(top))])
     for gens in gen_sets:
         assert enumerate_group(gens, degree) == _bfs_elements(gens, degree)
     assert perm_mul((), ()) == ()

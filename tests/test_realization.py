@@ -31,7 +31,6 @@ from hyperq.io import load_input
 from hyperq.realization import (
     CosetSpec,
     PermAction,
-    coset_partition,
     coset_space,
     coset_union_action,
     count_mu,
@@ -45,6 +44,7 @@ from hyperq.realization import (
     weights,
 )
 from numpy_oracles import membership_matrix, pair_orbits, pair_products
+from test_pair_orbits_oracle import LADDER
 
 
 def test_perm_helpers():
@@ -79,14 +79,17 @@ def test_enumerate_order_bound():
         enumerate_group(s3_generators(), 3, order_bound=5)
 
 
-def test_coset_partition_of_a_stabilizer():
+def test_coset_space_of_a_stabilizer():
     elements = enumerate_group(s3_generators(), 3)
-    index = {g: i for i, g in enumerate(elements)}
-    stabilizer = enumerate_group((from_cycles(3, (0, 1)),), 3)
-    classes, membership = coset_partition(elements, index, stabilizer)
+    classes, membership = _union_find_cosets(elements, (from_cycles(3, (0, 1)),))
     assert classes == [[0, 1], [2, 4], [3, 5]]
-    assert [membership[i] for i in range(6)] == [0, 0, 1, 2, 1, 2]
-    assert _union_find_cosets(elements, (from_cycles(3, (0, 1)),)) == (classes, membership)
+    assert membership == [0, 0, 1, 2, 1, 2]
+    spec = CosetSpec(degree=3, group_generators=s3_generators(),
+                     subgroups=(("k", (from_cycles(3, (0, 1)),)),))
+    action = coset_space(spec, 0)
+    assert action == _union_find_coset_space(spec, 0)
+    # the least point is K itself, fixed by (0 1)
+    assert action.stabilizers == (((0, 2, 1),),)
 
 
 def _union_find_cosets(elements, k_gens):
@@ -127,26 +130,31 @@ def _union_find_coset_space(spec, k):
     return PermAction(n_points=len(classes), generators=gens)
 
 
-_S7_3SUBSETS = CosetSpec(
-    degree=7,
-    group_generators=(from_cycles(7, (0, 1)), from_cycles(7, tuple(range(7)))),
-    subgroups=(("s3xs4", (from_cycles(7, (0, 1)), from_cycles(7, (0, 1, 2)),
-                          from_cycles(7, (3, 4)), from_cycles(7, (3, 4, 5, 6)))),))
-
-
 def test_coset_partitions_match_the_union_find():
-    specs = random_coset_specs(40, seed=11) + [s3_spec(), _S7_3SUBSETS]
+    specs = random_coset_specs(40, seed=11) + [s3_spec(), LADDER["s7_3subsets"]]
     for spec in specs:
-        elements = enumerate_group(spec.group_generators, spec.degree)
-        index = {g: i for i, g in enumerate(elements)}
-        for k, (_, k_gens) in enumerate(spec.subgroups):
-            k_elements = enumerate_group(k_gens, spec.degree)
-            assert coset_partition(elements, index, k_elements) == \
-                _union_find_cosets(elements, k_gens), spec
+        for k in range(len(spec.subgroups)):
             assert coset_space(spec, k) == _union_find_coset_space(spec, k), spec
         assert coset_union_action(spec) == disjoint_union(
             _union_find_coset_space(spec, k) for k in range(len(spec.subgroups)))
-    assert coset_union_action(_S7_3SUBSETS).n_points == 35
+    assert coset_union_action(LADDER["s7_3subsets"]).n_points == 35
+
+
+def _padded(spec: CosetSpec, degree: int) -> CosetSpec:
+    """The same groups, with fixed points added up to the given degree."""
+    def pad(p):
+        return tuple(p) + tuple(range(spec.degree, degree))
+    return CosetSpec(degree, tuple(map(pad, spec.group_generators)),
+                     tuple((name, tuple(map(pad, gens))) for name, gens in spec.subgroups))
+
+
+def test_coset_actions_agree_across_the_byte_encoding_bound():
+    # degree 300 holds the group elements as tuples, the specs' own degrees as bytes
+    for spec in random_coset_specs(40, seed=11) + list(LADDER.values()):
+        action, padded = coset_union_action(spec), coset_union_action(_padded(spec, 300))
+        assert padded == action, spec
+        assert padded.stabilizers == action.stabilizers, spec
+        assert orbit_atoms(padded).membership == orbit_atoms(action).membership, spec
 
 
 def test_coset_space_sizes():
