@@ -4,10 +4,12 @@ Basis elements [g] are indexed by arrows; the product is
 
     [g] [g'] = sum over a in comp(g, g') of <a | g, g'> [a]
 
-with integer structure constants (extended naturals in general).  An
-algebra element is a dict {arrow id: coefficient} with no explicit
-zeros; coefficients are exact Fractions or ints, and complex is allowed
-where the one-parameter evolution needs it.
+with integer structure constants (extended naturals in general), read
+off the rows of the pair (g, g') and the values at the same places
+(``Hypergroupoid.pair``).  An algebra element is a dict
+{arrow id: coefficient} with no explicit zeros; coefficients are exact
+Fractions or ints, and complex is allowed where the one-parameter
+evolution needs it.
 
 The weight identities tie the table together (e, e' the identities of
 src(g), tgt(g), all in extended natural arithmetic):
@@ -42,7 +44,7 @@ from operator import add, itemgetter, mul as times, sub
 from .checks import Check, Report
 from .errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from .extnat import INF, ExtNat, check_extnat, is_finite
-from .hypergroupoid import Hypergroupoid, Rows, gatherer, is_simple, lazy
+from .hypergroupoid import Hypergroupoid, gatherer, is_simple, lazy
 
 Element = dict[int, object]
 
@@ -56,18 +58,16 @@ class WeightedHypergroupoid:
     values <e|g*,g> and <e'|g,g*>, but imported tables may disagree,
     which validate_weights reports).  Callers pass one of:
 
-    - ``values``;
-    - a dict ``mu`` {(c, b, a): <c | b, a>}, checked entry by entry and
-      turned into values; a given ``mu`` wins, so
-      ``dataclasses.replace(W, mu=...)`` swaps the table;
+    - ``values`` (``mu_values`` builds them from a dict
+      {(c, b, a): <c | b, a>});
     - a function ``build`` returning the values, with the
       ``identity_values`` beside it.  The values are then built on first
       read, and must take the given values at the identity rows.
 
     ``identity_values`` are the values at ``base.identity_rows``, all
     that the weights and the KMS check read.  ``mu`` is a read-only dict
-    view in row order, built on first access (a given dict is its own
-    view); callers must not mutate it."""
+    view in row order, built on first access, which the package itself
+    never reads; callers must not mutate it."""
 
     base: Hypergroupoid
 
@@ -80,8 +80,7 @@ class WeightedHypergroupoid:
     right: tuple[ExtNat, ...]
     identity_values: tuple[ExtNat, ...] = field(init=False, repr=False)
 
-    def __init__(self, base: Hypergroupoid,
-                 mu: Mapping[tuple[int, int, int], ExtNat] | None = None, *,
+    def __init__(self, base: Hypergroupoid, *,
                  left: tuple[ExtNat, ...], right: tuple[ExtNat, ...],
                  values: Sequence[ExtNat] | None = None,
                  build: Callable[[], Sequence[ExtNat]] | None = None,
@@ -91,10 +90,7 @@ class WeightedHypergroupoid:
         if not len(left) == len(right) == base.n_arrows:
             raise MalformedTable("left and right must have one weight per arrow")
         _check_values(left + right)
-        if mu is not None:
-            values = mu_values(base, mu)
-            object.__setattr__(self, "mu", mu)
-        elif build is not None:
+        if build is not None:
             identity_values = tuple(identity_values)
             if len(identity_values) != len(base.identity_rows[2]):
                 raise MalformedTable("mu must have one value per identity row")
@@ -109,7 +105,8 @@ class WeightedHypergroupoid:
     def mu(self) -> dict[tuple[int, int, int], ExtNat]:
         """(c, b, a) -> <c | b, a>, one entry per composite of each
         composable pair."""
-        return mu_view(self.base.rows, self.values)
+        b_, a_, c_ = self.base.rows
+        return dict(zip(zip(c_, b_, a_), self.values))
 
 
 def _check_values(values: Sequence[ExtNat]):
@@ -140,33 +137,25 @@ def identity_checked(H: Hypergroupoid, values: Sequence[ExtNat],
     return values
 
 
-def mu_view(rows: Rows, values: Sequence[ExtNat]) -> dict[tuple[int, int, int], ExtNat]:
-    """The dict {(c, b, a): value} of a value column, in row order."""
-    b_, a_, c_ = rows
-    return dict(zip(zip(c_, b_, a_), values))
-
-
 def mu_values(H: Hypergroupoid, mu: Mapping[tuple[int, int, int], ExtNat]) -> list[ExtNat]:
-    """The value column of a mu dict on the rows of H.  MalformedTable
-    names the first entry, in dict order, outside the composition table,
-    then the first composite with no entry; a value that is no extended
-    natural raises as ``check_extnat`` does."""
-    comp = H.comp
-    for (a, g, gp), v in mu.items():
-        if v.__class__ is not int or v < 0:
-            check_extnat(v)
-        cs = comp.get((g, gp))
-        if cs is None or a not in cs:
-            raise MalformedTable(f"mu entry ({a},{g},{gp}) outside the composition table")
-    # every mu key lies in comp, so mu is complete exactly when it has
-    # one entry per composite
-    if len(mu) != len(H.rows[2]):
-        for (g, gp), cs in comp.items():
-            for a in cs:
-                if (a, g, gp) not in mu:
-                    raise MalformedTable(f"mu missing entry ({a},{g},{gp})")
+    """The value column of a mu dict on the rows of H, each row (b, a, c)
+    reading its entry (c, b, a).  MalformedTable names the first entry,
+    in dict order, outside the composition table, then the first row, in
+    row order, with no entry.  The values are checked by the
+    ``WeightedHypergroupoid`` that takes them."""
     b_, a_, c_ = H.rows
-    return list(map(mu.__getitem__, zip(c_, b_, a_)))
+    values = list(map(mu.get, zip(c_, b_, a_)))
+    # every row found its own entry, so the entries are exactly the rows
+    # when as many were found as there are entries
+    missing = values.count(None)
+    if len(values) - missing != len(mu):
+        rows = set(zip(c_, b_, a_))
+        a, g, gp = next(key for key in mu if key not in rows)
+        raise MalformedTable(f"mu entry ({a},{g},{gp}) outside the composition table")
+    if missing:
+        i = values.index(None)
+        raise MalformedTable(f"mu missing entry ({c_[i]},{b_[i]},{a_[i]})")
+    return values
 
 
 def derived_weights(H: Hypergroupoid, identity_values: Sequence[ExtNat]) -> tuple[tuple[ExtNat, ...], tuple[ExtNat, ...]]:
@@ -270,17 +259,18 @@ def is_locally_finite(W: WeightedHypergroupoid) -> bool:
 
 def mul(W: WeightedHypergroupoid, u: Element, v: Element) -> Element:
     """Convolution product, bilinear over the basis products."""
-    H = W.base
+    H, values = W.base, W.values
+    c_ = H.rows[2]
     acc: dict[int, object] = {}
     for g, cg in u.items():
         if cg == 0:
             continue
         for gp, cp in v.items():
-            if cp == 0 or not H.composable(g, gp):
+            if cp == 0:
                 continue
             c = cg * cp
-            for a in H.comp[(g, gp)]:
-                m = W.mu[(a, g, gp)]
+            for i in H.pair(g, gp):
+                a, m = c_[i], values[i]
                 if m is INF:
                     raise InfiniteCoefficient(
                         f"<{a}|{g},{gp}> is infinite; coefficient would diverge")
@@ -408,7 +398,8 @@ def convolve_ext(W: WeightedHypergroupoid, f: dict[int, ExtNat], h: dict[int, Ex
     """Convolution of extended natural valued functions,
     (f * h)(a) = sum over (g, g') of f(g) h(g') <a|g,g'>, with the
     convention 0 * INF = 0."""
-    H = W.base
+    H, values = W.base, W.values
+    c_ = H.rows[2]
     for v in list(f.values()) + list(h.values()):
         check_extnat(v)
     acc: dict[int, ExtNat] = {}
@@ -416,11 +407,11 @@ def convolve_ext(W: WeightedHypergroupoid, f: dict[int, ExtNat], h: dict[int, Ex
         if fg == 0:
             continue
         for gp, hg in h.items():
-            if hg == 0 or not H.composable(g, gp):
+            if hg == 0:
                 continue
             w = fg * hg
-            for a in H.comp[(g, gp)]:
-                acc[a] = acc.get(a, 0) + w * W.mu[(a, g, gp)]
+            for i in H.pair(g, gp):
+                acc[c_[i]] = acc.get(c_[i], 0) + w * values[i]
     return {a: v for a, v in acc.items() if v != 0}
 
 

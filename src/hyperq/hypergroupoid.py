@@ -15,15 +15,15 @@ The defining laws checked by ``check_hg_axioms``:
        columns by looking up the keys of the rows (y*, x, z) and
        (x, z*, y)
 
-The composition table is kept as int columns, one row (b, a, c) per
-composite c of each composable pair.  A table may be given by a function
-that builds it: it is then built and checked on first read, and until
-then only its identity rows, whose composite is an identity arrow, are
-held.  The weights and the KMS check read no other row.  The law checks
-and ``to_quantale`` read the composition sets from the pair table, one
-set per composable pair in row order, indexed by place; the dict
-``comp`` over the same sets is built only for the callers that read it,
-such as the convolution product and morphisms.
+The composition table is kept in one form, int columns with one row
+(b, a, c) per composite c of each composable pair; a dict of composition
+sets is turned into rows once, by ``from_comp``.  A table may be given by
+a function that builds it: it is then built and checked on first read,
+and until then only its identity rows, whose composite is an identity
+arrow, are held.  The weights and the KMS check read no other row.  The
+law checks and ``to_quantale`` read the pair table, one composition set
+per composable pair in row order, indexed by place; every other reader
+takes the places of one pair's rows, found by key.
 
 Subsets of arrows under pointwise composition form an atomic modular
 quantale; ``to_quantale`` builds its atom table and ``from_quantale``
@@ -33,8 +33,9 @@ atoms absorbing it on each side (NotModular when resolution fails).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice, repeat
@@ -114,10 +115,8 @@ class Hypergroupoid:
     of each composable pair (b, a), in strictly increasing ``keys``
     (rank(b) n + a) n + c, b ranked by (src(b), b).  Callers pass one of:
 
-    - ``rows``, checked whole columns at a time;
-    - a dict ``comp`` {(b, a): composition set}, checked entry by entry
-      and turned into rows; a given ``comp`` wins, so
-      ``dataclasses.replace(H, comp=...)`` swaps the table;
+    - ``rows``, checked whole columns at a time (``from_comp`` builds
+      them from a dict {(b, a): composition set});
     - a function ``build`` returning the rows, with the ``identity_rows``
       beside it.  The rows are then built on first read and checked
       there as given rows are, and their identity rows must be the
@@ -129,9 +128,8 @@ class Hypergroupoid:
     KMS check read only these, so a table given by ``build`` that is
     read no further is never built.  ``pair_table`` holds the composition
     set of each composable pair in row order, equal sets one frozenset,
-    and ``comp`` is a read-only dict view over those sets; both are built
-    on first access (a given dict is its own view), and callers must not
-    mutate them."""
+    built on first access, and callers must not mutate it; ``pair``
+    finds the places of one pair's rows by key."""
 
     unit_names: tuple[str, ...]
     arrow_names: tuple[str, ...]
@@ -155,12 +153,12 @@ class Hypergroupoid:
     identity_rows: Rows = field(init=False, repr=False)
 
     def __init__(self, unit_names, arrow_names, src, tgt, star, unit_arrow,
-                 comp: Mapping[tuple[int, int], frozenset[int]] | None = None,
                  rows: Rows | None = None, *,
                  build: Callable[[], Rows] | None = None,
                  identity_rows: Rows | None = None):
-        # explicit raises, not asserts: check_hg_axioms indexes comp and
-        # aligns rows on composite typing, so it relies on these under -O.
+        # explicit raises, not asserts: check_hg_axioms indexes the pair
+        # table and aligns rows on composite typing, so it relies on these
+        # under -O.
         # Attributes are set as a frozen dataclass's __init__ sets them,
         # which keeps them out of a materialized __dict__ and fast to read
         for name, value in (("unit_names", unit_names), ("arrow_names", arrow_names),
@@ -182,19 +180,11 @@ class Hypergroupoid:
             if src[i] != e or tgt[i] != e or star[i] != i:
                 raise MalformedTable(
                     f"identity arrow {i} of unit {e} must be a self-adjoint loop at {e}")
-        if comp is not None:
-            # a dict is checked entry by entry, and its rows come out in order
-            self._check_comp(comp)
-            pairs = sorted(comp, key=lambda p: (src[p[0]], p))
-            rows = tuple(zip(*[(b, a, c) for b, a in pairs
-                               for c in sorted(comp[b, a])])) or ((), (), ())
-            object.__setattr__(self, "comp", comp)
-        elif build is not None:
+        if build is not None:
             object.__setattr__(self, "_build", build)
             object.__setattr__(self, "identity_rows", tuple(map(tuple, identity_rows)))
             return
-        else:
-            object.__setattr__(self, "keys", self._checked(rows))
+        object.__setattr__(self, "keys", self._checked(rows))
         object.__setattr__(self, "rows", rows)
         index = self._identity_index(rows[2])
         object.__setattr__(self, "identity_index", index)
@@ -202,8 +192,8 @@ class Hypergroupoid:
 
     def _checked(self, rows: Rows) -> list[int]:
         """The keys of the rows, if ``_rows_hold``; else MalformedTable
-        naming the first fault as the dict check does.  Rows out of order
-        are the one fault a dict cannot have."""
+        naming the first fault, in row order, as the dict check does.
+        Rows out of order are the one fault a dict cannot have."""
         keys = self._rows_hold(rows)
         if keys is None:
             sets: dict[tuple[int, int], set[int]] = {}
@@ -262,8 +252,6 @@ class Hypergroupoid:
                 raise MalformedTable(f"comp key ({b},{a}) is not a pair of arrow ids")
             if src[b] != tgt[a]:
                 raise MalformedTable(f"comp defined on non-composable pair ({b},{a})")
-            if not cs:
-                raise MalformedTable(f"composition set of ({b},{a}) is empty")
             typed = hom.get((src[a], tgt[b]), untyped)
             if not cs <= typed:
                 c = next(c for c in cs if c not in typed)
@@ -300,10 +288,10 @@ class Hypergroupoid:
     @lazy
     def keys(self) -> list[int]:
         """The key of each row; the rows are checked in key order, and
-        kept there.  Checking given or built rows stores their keys."""
-        b_, a_, c_ = self.rows
-        high, mid = self.key_parts
-        return list(map(add, map(add, gatherer(b_)(high), gatherer(a_)(mid)), c_))
+        kept there.  Checking given or built rows stores their keys, so
+        a first read here builds a table given by ``build``."""
+        self.rows
+        return vars(self)["keys"]
 
     @lazy
     def identity_index(self) -> list[int]:
@@ -342,14 +330,6 @@ class Hypergroupoid:
         starts = range(k) if k == len(c_) else self.pair_starts
         return pair_sets(c_, starts, self.n_arrows), block, pos
 
-    @lazy
-    def comp(self) -> dict[tuple[int, int], frozenset[int]]:
-        """(b, a) -> composition set, exactly for the composable pairs: a
-        dict over the sets of ``pair_table``."""
-        b_, a_, _ = self.rows
-        at = gatherer(self.pair_starts)
-        return dict(zip(zip(at(b_), at(a_)), self.pair_table[0]))
-
     @property
     def n_units(self) -> int:
         return len(self.unit_names)
@@ -361,9 +341,19 @@ class Hypergroupoid:
     def composable(self, b: int, a: int) -> bool:
         return self.src[b] == self.tgt[a]
 
+    def pair(self, b: int, a: int) -> range:
+        """The places in ``rows`` of the rows of (b, a), one per
+        composite, where its values sit too; empty for a non-composable
+        pair.  Their keys are high[b] + mid[a] + c with 0 <= c < n, one
+        run of the increasing ``keys``, so two bisections find it."""
+        high, mid = self.key_parts
+        key, keys = high[b] + mid[a], self.keys
+        return range(bisect_left(keys, key), bisect_left(keys, key + self.n_arrows))
+
     def compose(self, b: int, a: int) -> frozenset[int]:
         """Composition set, empty for non-composable pairs."""
-        return self.comp.get((b, a), EMPTY)
+        places = self.pair(b, a)
+        return frozenset(self.rows[2][places.start:places.stop])
 
     @cached_property
     def simple_arrows(self) -> tuple[int, ...]:
@@ -385,9 +375,28 @@ class Hypergroupoid:
 
 
 def same_structure(H1: Hypergroupoid, H2: Hypergroupoid) -> bool:
-    """Structural equality on ids, ignoring display names."""
+    """Structural equality on ids, ignoring display names.  With equal
+    sources the rows are in one order, so equal tables have equal row
+    columns, compared as tuples whatever sequences hold them."""
     return (H1.src == H2.src and H1.tgt == H2.tgt and H1.star == H2.star
-            and H1.unit_arrow == H2.unit_arrow and H1.comp == H2.comp)
+            and H1.unit_arrow == H2.unit_arrow
+            and tuple(map(tuple, H1.rows)) == tuple(map(tuple, H2.rows)))
+
+
+def from_comp(unit_names, arrow_names, src, tgt, star, unit_arrow,
+              comp: Mapping[tuple[int, int], Collection[int]]) -> Hypergroupoid:
+    """The hypergroupoid of a dict {(b, a): composition set}.  The dict
+    is turned into rows once and checked as given rows are, so a fault
+    is named in row order; an empty set, which rows cannot hold, is
+    named here."""
+    for (b, a), cs in comp.items():
+        if not cs:
+            raise MalformedTable(f"composition set of ({b},{a}) is empty")
+    # a pair of no arrow ids is ordered anyhow: the row check names it
+    pairs = sorted(comp, key=lambda p: (src[p[0]] if 0 <= p[0] < len(src) else -1, p))
+    rows = tuple(zip(*[(b, a, c) for b, a in pairs for c in sorted(comp[b, a])]))
+    return Hypergroupoid(unit_names, arrow_names, src, tgt, star, unit_arrow,
+                         rows or ((), (), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +605,8 @@ def from_quantale(Q: AtomicQuantale) -> Hypergroupoid:
                 raise NotModular(
                     f"non-composable pair ({Q.atom_names[b]},{Q.atom_names[a]}) "
                     f"has nonempty product")
-    return Hypergroupoid(
-        unit_names=tuple(Q.atom_names[e] for e in units),
-        arrow_names=Q.atom_names,
-        src=tuple(src),
-        tgt=tuple(tgt),
-        star=Q.star,
-        unit_arrow=tuple(units),
-        comp=comp,
-    )
+    return from_comp(tuple(Q.atom_names[e] for e in units), Q.atom_names, tuple(src),
+                     tuple(tgt), Q.star, tuple(units), comp)
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +678,12 @@ def check_morphism(
             failures.append(("unit", e))
     comp_ok = True
     if typing_ok:
-        for (b, a), cs in sorted(H1.comp.items()):
-            image = frozenset(amap[c] for c in cs)
-            if not image <= H2.compose(amap[b], amap[a]):
-                comp_ok = False
-                failures.append(("comp", b, a))
+        for b in range(H1.n_arrows):
+            for a in range(H1.n_arrows):
+                cs = H1.compose(b, a)
+                if cs and not frozenset(amap[c] for c in cs) <= H2.compose(amap[b], amap[a]):
+                    comp_ok = False
+                    failures.append(("comp", b, a))
     star_ok = all(amap[H1.star[g]] == H2.star[amap[g]] for g in range(H1.n_arrows))
     if not star_ok:
         failures.append(("star",))

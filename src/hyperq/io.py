@@ -30,7 +30,7 @@ from fractions import Fraction
 from .algebra import WeightedHypergroupoid, derived_weights, mu_values
 from .errors import MalformedTable, SchemaError
 from .extnat import INF, ExtNat, extnat_from_json
-from .hypergroupoid import Hypergroupoid, gatherer
+from .hypergroupoid import from_comp, gatherer
 from .realization import CosetSpec, PermAction, coset_union_action
 
 SCHEMA = "hyperq/1"
@@ -152,15 +152,9 @@ def _parse_abstract(obj: dict) -> WeightedHypergroupoid:
         if key in comp:
             raise SchemaError(f"duplicate comp record for {rec['left']},{rec['right']}")
         comp[key] = frozenset(arrow(nm) for nm in _require(rec, "result", list))
-    H = Hypergroupoid(
-        unit_names=units,
-        arrow_names=tuple(names),
-        src=tuple(unit(s) for s in src),
-        tgt=tuple(unit(t) for t in tgt),
-        star=tuple(arrow(s) for s in star_names),
-        unit_arrow=tuple(arrow(unit_arrows[u]) for u in units),
-        comp=comp,
-    )
+    H = from_comp(units, tuple(names), tuple(unit(s) for s in src),
+                  tuple(unit(t) for t in tgt), tuple(arrow(s) for s in star_names),
+                  tuple(arrow(unit_arrows[u]) for u in units), comp)
     mu: dict[tuple[int, int, int], ExtNat] = {}
     for rec in _require(obj, "mu", list):
         if not isinstance(rec, dict):

@@ -38,9 +38,8 @@ list indexed x*n + y, and the constants are read off as one histogram
 per arrow a: scanning t along the row of x and the column of y yields
 every pair (g, g') whose composite meets a, with its count.  The counts
 are kept as flat columns, the hypergroupoid's rows (g, g', a) and a
-value column beside them; the dicts ``mu`` and ``comp`` are views built
-only when read.  Left and right weights of an arrow are its column and
-row counts:
+value column beside them, the one form of the table.  Left and right
+weights of an arrow are its column and row counts:
 
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
@@ -63,7 +62,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import add
 
-from .algebra import WeightedHypergroupoid, derived_weights, identity_checked, mu_view
+from .algebra import WeightedHypergroupoid, derived_weights, identity_checked
 from .errors import HyperqError, OrderBoundExceeded
 from .hypergroupoid import Hypergroupoid, Rows, gatherer, lazy, source_order
 
@@ -287,9 +286,8 @@ class ConcreteRealization:
     lexicographic order; identity_values[i] is <e | b, a> for row
     i = (b, a, e) of the hypergroupoid's identity rows.  ``table``
     counts the whole table, rows and values, once.  values[i] is
-    <c | b, a> for row i = (b, a, c) of the hypergroupoid's rows, and
-    ``mu`` the read-only dict view (c, b, a) -> <c | b, a> of that
-    column; both are built on first access, with the rows."""
+    <c | b, a> for row i = (b, a, c) of the hypergroupoid's rows, built
+    on first access, with the rows."""
 
     action: PermAction
     hypergroupoid: Hypergroupoid
@@ -305,10 +303,6 @@ class ConcreteRealization:
     def values(self) -> tuple[int, ...]:
         # counts, one per row by construction
         return identity_checked(self.hypergroupoid, self.table()[1], self.identity_values)
-
-    @lazy
-    def mu(self) -> dict[tuple[int, int, int], int]:
-        return mu_view(self.hypergroupoid.rows, self.values)
 
     @property
     def n_points(self) -> int:

@@ -52,6 +52,7 @@ from hyperq.realization import (
     weights,
 )
 from numpy_oracles import membership_matrix, regular_rep
+from table_dicts import comp_dict
 
 
 @contextlib.contextmanager
@@ -158,7 +159,7 @@ def test_c04_character_laws(all_weighted):
             for g in range(H.n_arrows):
                 assert H.star[H.star[g]] == g
                 assert chi(W, H.star[g]) == 1 / chi(W, g)
-            for (b, a), out in H.comp.items():
+            for (b, a), out in comp_dict(H).items():
                 expect = chi(W, b) * chi(W, a)
                 for c in out:
                     assert chi(W, c) == expect

@@ -33,12 +33,13 @@ from hyperq.algebra import (
 )
 from hyperq.errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from hyperq.extnat import INF
-from hyperq.hypergroupoid import Hypergroupoid, from_quantale, to_quantale
+from hyperq.hypergroupoid import from_comp, from_quantale, to_quantale
 from hyperq.io import load_input
 from hyperq.realization import count_mu, enumerate_group, perm_inv, perm_mul
 
 from conftest import DATA
 from numpy_oracles import decompose_matrix, regular_rep
+from table_dicts import comp_dict, with_mu
 
 
 def _random_elements(W, count, seed, denominators=True):
@@ -74,12 +75,7 @@ def test_weight_identities_hold_on_the_abstract_table():
 def test_sum_identity_catches_a_mutated_count(w_cosets):
     # <d|d,d> := 2 keeps the symmetry laws but breaks the sum identity:
     # |d|_l |d|_l = 4 while the right side becomes 2*1 + 2*2 = 6
-    mutated = WeightedHypergroupoid(
-        base=w_cosets.base,
-        mu={**w_cosets.mu, (1, 1, 1): 2},
-        left=w_cosets.left,
-        right=w_cosets.right,
-    )
+    mutated = with_mu(w_cosets, {**w_cosets.mu, (1, 1, 1): 2})
     report = validate_weights(mutated)
     assert not report.ok
     sum_check = report.result("murel-3")
@@ -100,13 +96,16 @@ def test_sum_identity_catches_a_mutated_count(w_cosets):
     pytest.param({(1, 1, 1): -1}, ValueError,
                  "extended naturals are nonnegative, got -1", id="negative"),
     pytest.param({(0, 1, 1): None}, MalformedTable, "mu missing entry (0,1,1)", id="missing"),
+    # a composite past the arrow ids: (3, 0, 0) in place of (1, 0, 1), whose
+    # row key high[0] + mid[1] + 1 = 3 it would alias as high[0] + mid[0] + 3
+    pytest.param({(1, 0, 1): None, (3, 0, 0): 1}, MalformedTable,
+                 "mu entry (3,0,0) outside the composition table", id="aliased_key"),
 ])
 def test_malformed_mu_tables_are_refused(w_cosets, change, error, message):
     mu = {**w_cosets.mu, **change}
     mu = {key: v for key, v in mu.items() if v is not None}
     with pytest.raises(error) as info:
-        WeightedHypergroupoid(base=w_cosets.base, mu=mu,
-                              left=w_cosets.left, right=w_cosets.right)
+        with_mu(w_cosets, mu)
     assert str(info.value) == message
 
 
@@ -131,12 +130,11 @@ def test_derived_weights_read_only_the_rows_of_star_pairs():
     # one unit e and g* = h, with the identity in every product of g and
     # h: |a|_l = <e|a*,a> and |b|_r = <e|b,b*> whatever <e|g,g> and
     # <e|h,h> are
-    H = Hypergroupoid(
-        unit_names=("u",), arrow_names=("e", "g", "h"), src=(0, 0, 0), tgt=(0, 0, 0),
-        star=(0, 2, 1), unit_arrow=(0,),
-        comp={(b, a): frozenset((a,)) if b == 0 else frozenset((b,)) if a == 0
-              else frozenset((0,)) for b in range(3) for a in range(3)})
-    mu = {(next(iter(cs)), b, a): 1 for (b, a), cs in H.comp.items()}
+    H = from_comp(
+        ("u",), ("e", "g", "h"), (0, 0, 0), (0, 0, 0), (0, 2, 1), (0,),
+        {(b, a): frozenset((a,)) if b == 0 else frozenset((b,)) if a == 0
+         else frozenset((0,)) for b in range(3) for a in range(3)})
+    mu = {(next(iter(cs)), b, a): 1 for (b, a), cs in comp_dict(H).items()}
     mu.update({(0, 1, 1): 5, (0, 2, 2): 7, (0, 2, 1): 2, (0, 1, 2): 3})
     values = mu_values(H, mu)
     left, right = derived_weights(H, [values[i] for i in H.identity_index])
@@ -169,7 +167,7 @@ def test_infinite_table_rejects_finite_operations():
 
 
 def test_zero_weight_is_rejected(w_cosets):
-    W = WeightedHypergroupoid(base=w_cosets.base, mu=w_cosets.mu,
+    W = WeightedHypergroupoid(base=w_cosets.base, values=w_cosets.values,
                               left=(1, 0), right=(1, 0))
     with pytest.raises(ZeroWeight):
         chi(W, 1)
@@ -264,7 +262,7 @@ def test_chi_values(w_regular, w_mixed):
 def test_chi_is_multiplicative(all_weighted):
     for W in all_weighted.values():
         H = W.base
-        for (g, gp), cs in H.comp.items():
+        for (g, gp), cs in comp_dict(H).items():
             for a in cs:
                 assert chi(W, a) == chi(W, g) * chi(W, gp)
 

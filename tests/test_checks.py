@@ -26,6 +26,7 @@ from hyperq.qsets import (
 )
 from hyperq.quantale import check_axioms
 from hyperq.realization import orbit_atoms
+from table_dicts import comp_dict
 
 
 def test_report_queries():
@@ -80,7 +81,7 @@ def test_law_checks_count_what_their_notes_state(name, counts):
     n = H.n_arrows
     assert counts["HG2"] == sum(H.src[x] == H.tgt[y] and H.src[y] == H.tgt[z]
                                 for x in range(n) for y in range(n) for z in range(n))
-    assert counts["HG3"] == sum(map(len, H.comp.values()))
+    assert counts["HG3"] == sum(map(len, comp_dict(H).values()))
     notes = {r.name: r.note for r in results}
     for law in ("Q4", "Q6", "Q7", "Q8", "Q9"):
         assert notes[law].startswith(f"{counts[law]} atom")

@@ -19,6 +19,7 @@ from hyperq.io import load_input
 from hyperq.realization import coset_union_action, orbit_atoms
 
 from conftest import DATA
+from table_dicts import comp_dict, with_comp
 
 
 def hg1_oracle(H):
@@ -59,16 +60,16 @@ def _tables(all_realized):
 def _toggle(H, rng):
     """H with one well-typed composite added to or dropped from one
     composition set, keeping every set inhabited."""
-    pairs = sorted(H.comp)
+    comp = comp_dict(H)
+    pairs = sorted(comp)
     while True:
         b, a = pairs[rng.randrange(len(pairs))]
         hom = [c for c in range(H.n_arrows)
                if H.src[c] == H.src[a] and H.tgt[c] == H.tgt[b]]
         c = rng.choice(hom)
-        if H.comp[b, a] != {c}:
-            comp = dict(H.comp)
-            comp[b, a] = H.comp[b, a] ^ {c}
-            return dataclasses.replace(H, comp=comp)
+        if comp[b, a] != {c}:
+            comp[b, a] ^= {c}
+            return with_comp(H, comp)
 
 
 def _spare_loops(H):

@@ -10,7 +10,6 @@ arrows of Light's test, so every failing mutant's first y must be a
 middle.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -22,6 +21,7 @@ from hyperq.io import load_input
 from hyperq.realization import CosetSpec, coset_union_action, from_cycles, orbit_atoms
 
 from conftest import DATA
+from table_dicts import comp_dict, with_comp
 
 
 def _mul_sets(H, left, right):
@@ -84,16 +84,16 @@ def test_checker_matches_the_oracle_on_fixtures(base_tables):
 def _mutant(H, rng):
     """H with one well-typed composite added to or dropped from one
     composition set, keeping every set inhabited."""
-    pairs = sorted(H.comp)
+    comp = comp_dict(H)
+    pairs = sorted(comp)
     while True:
         b, a = pairs[rng.randrange(len(pairs))]
         hom = [c for c in range(H.n_arrows)
                if H.src[c] == H.src[a] and H.tgt[c] == H.tgt[b]]
         c = rng.choice(hom)
-        if H.comp[b, a] != {c}:
-            comp = dict(H.comp)
-            comp[b, a] = H.comp[b, a] ^ {c}
-            return dataclasses.replace(H, comp=comp)
+        if comp[b, a] != {c}:
+            comp[b, a] ^= {c}
+            return with_comp(H, comp)
 
 
 def test_checker_matches_the_oracle_on_mutants(base_tables):

@@ -14,35 +14,36 @@ On the same tables the atom table of ``to_quantale``, read off the pair
 table, must equal the one read entry by entry from the dict.
 """
 
-import dataclasses
 import random
 
 from hyperq.hypergroupoid import EMPTY, check_hg_axioms, to_quantale
 
+from table_dicts import comp_dict, with_comp
 from test_hg2_oracle import _mutant, base_tables  # noqa: F401  (a fixture)
 
 
 def hg3_oracle(H):
     """The first (x, y, z) with x in y z but z not in y* x or y not in
     x z*, or None."""
-    for y, z in sorted(H.comp):
-        for x in sorted(H.comp[y, z]):
-            if z not in H.compose(H.star[y], x) or y not in H.compose(x, H.star[z]):
+    comp, star = comp_dict(H), H.star
+    for y, z in sorted(comp):
+        for x in sorted(comp[y, z]):
+            if z not in comp.get((star[y], x), EMPTY) or y not in comp.get((x, star[z]), EMPTY):
                 return (x, y, z)
     return None
 
 
 def dict_product(H):
-    """The atom table read from ``comp`` entry by entry."""
-    n = H.n_arrows
-    return tuple(tuple(H.comp.get((b, a), EMPTY) for a in range(n)) for b in range(n))
+    """The atom table read from the composition dict entry by entry."""
+    n, comp = H.n_arrows, comp_dict(H)
+    return tuple(tuple(comp.get((b, a), EMPTY) for a in range(n)) for b in range(n))
 
 
 def _assert_agrees(H):
     expected = hg3_oracle(H)
     hg3 = check_hg_axioms(H).result("HG3")
     assert (hg3.passed, hg3.counterexample, hg3.checked) == (
-        expected is None, expected, sum(map(len, H.comp.values())))
+        expected is None, expected, sum(map(len, comp_dict(H).values())))
     assert to_quantale(H).product == dict_product(H)
     return expected
 
@@ -59,11 +60,12 @@ def _closed_mutant(H, rng):
     together with its images under the exchange law, (x, y, z) ->
     (z, y*, x) and (y, x, z*), so that the law still holds if it held;
     None if a composition set would be left empty."""
-    pairs = sorted(H.comp)
+    comp = comp_dict(H)
+    pairs = sorted(comp)
     y, z = pairs[rng.randrange(len(pairs))]
     x = rng.choice([c for c in range(H.n_arrows)
                     if H.src[c] == H.src[z] and H.tgt[c] == H.tgt[y]])
-    add = x not in H.comp[y, z]
+    add = x not in comp[y, z]
     star, orbit, todo = H.star, set(), [(x, y, z)]
     while todo:
         t = todo.pop()
@@ -71,12 +73,11 @@ def _closed_mutant(H, rng):
             orbit.add(t)
             x, y, z = t
             todo += [(z, star[y], x), (y, x, star[z])]
-    comp = dict(H.comp)
     for x, y, z in orbit:
         comp[y, z] = comp[y, z] | {x} if add else comp[y, z] - {x}
     if not all(comp.values()):
         return None
-    return dataclasses.replace(H, comp=comp)
+    return with_comp(H, comp)
 
 
 def test_checker_matches_the_oracle_on_mutants(base_tables):

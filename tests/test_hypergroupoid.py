@@ -26,6 +26,7 @@ from hyperq.hypergroupoid import (
     Hypergroupoid,
     check_hg_axioms,
     check_morphism,
+    from_comp,
     from_quantale,
     is_semisimple,
     is_simple,
@@ -42,6 +43,7 @@ from hyperq.realization import (
 )
 
 from conftest import DATA
+from table_dicts import comp_dict, with_comp
 from test_realization import _union_find_cosets
 
 
@@ -136,13 +138,14 @@ def test_composable_pair_needs_nonempty_product():
     ([(5, 2), (3, 4)], {}, "missing composition set for (3,4)"),
     ([(3, 4)], {(-1, 4): frozenset((0,))}, "comp key (-1,4) is not a pair of arrow ids"),
     ([(3, 4)], {(3, 6): frozenset((0,))}, "comp key (3,6) is not a pair of arrow ids"),
+    ([], {(3, 4): frozenset()}, "composition set of (3,4) is empty"),
 ])
 def test_composition_table_must_cover_every_composable_pair(real_regular, drop, extra, message):
     # the key count alone finds a gap; a stray key must not make up for one
     H = real_regular.hypergroupoid
-    comp = {k: v for k, v in H.comp.items() if k not in drop} | extra
+    comp = {k: v for k, v in comp_dict(H).items() if k not in drop} | extra
     with pytest.raises(MalformedTable) as info:
-        dataclasses.replace(H, comp=comp)
+        with_comp(H, comp)
     assert str(info.value) == message
 
 
@@ -154,9 +157,9 @@ def test_composition_table_must_cover_every_composable_pair(real_regular, drop, 
 def test_composites_must_be_typed_arrows(real_mixed, composite, message):
     # 12 is the identity of the other unit; 14 and -1 are not arrow ids
     H = real_mixed.hypergroupoid
-    comp = {**H.comp, (0, 0): frozenset((0, composite))}
+    comp = {**comp_dict(H), (0, 0): frozenset((0, composite))}
     with pytest.raises(MalformedTable) as info:
-        dataclasses.replace(H, comp=comp)
+        with_comp(H, comp)
     assert str(info.value) == message
 
 
@@ -217,16 +220,16 @@ def test_malformed_rows_are_refused(real_mixed, edit, message):
 def test_rows_and_dict_give_one_table(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
-        again = dataclasses.replace(H, comp=dict(H.comp))
+        again = with_comp(H, comp_dict(H))
         assert again.rows == H.rows and again.keys == H.keys
-        assert dataclasses.replace(H, rows=H.rows).comp == H.comp
+        assert comp_dict(dataclasses.replace(H, rows=H.rows)) == comp_dict(H)
 
 
 def test_composition_star_reversal(all_realized):
     # comp(b, a)* = comp(a*, b*) elementwise
     for real in all_realized.values():
         H = real.hypergroupoid
-        for (b, a), cs in H.comp.items():
+        for (b, a), cs in comp_dict(H).items():
             swapped = H.compose(H.star[a], H.star[b])
             assert frozenset(H.star[c] for c in cs) == swapped
 
@@ -282,13 +285,14 @@ def test_semisimplicity_caches_do_not_keep_tables_alive():
 def _typed_mutant(H, rng):
     """H with one well-typed composite added to or dropped from one
     composition set, keeping every set inhabited."""
-    pairs = sorted(H.comp)
+    comp = comp_dict(H)
+    pairs = sorted(comp)
     while True:
         b, a = pairs[rng.randrange(len(pairs))]
         c = rng.choice([c for c in range(H.n_arrows)
                         if H.src[c] == H.src[a] and H.tgt[c] == H.tgt[b]])
-        if H.comp[b, a] != {c}:
-            return dataclasses.replace(H, comp={**H.comp, (b, a): H.comp[b, a] ^ {c}})
+        if comp[b, a] != {c}:
+            return with_comp(H, {**comp, (b, a): comp[b, a] ^ {c}})
 
 
 def _first_factorizations(H):
@@ -378,7 +382,7 @@ def test_collapsing_the_other_way_fails(real_regular, real_cosets):
 
 def _cyclic3() -> Hypergroupoid:
     one, s, t = frozenset((0,)), frozenset((1,)), frozenset((2,))
-    return Hypergroupoid(
+    return from_comp(
         unit_names=("e",),
         arrow_names=("1", "s", "t"),
         src=(0, 0, 0),
@@ -397,7 +401,7 @@ def test_star_preservation_is_reported_separately():
     # target absorbs every composition, so the inclusion always holds,
     # but its star fixes the arrows the source swaps
     everything = frozenset((0, 1, 2))
-    chaotic = Hypergroupoid(
+    chaotic = from_comp(
         unit_names=("e",),
         arrow_names=("1", "s", "t"),
         src=(0, 0, 0),

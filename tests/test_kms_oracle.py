@@ -10,7 +10,6 @@ entry, on the fixtures, the realized tables, seeded coset tables and
 seeded mutants that change identity mu values or weights.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from hyperq.io import load_input
 from hyperq.realization import coset_union_action, orbit_atoms, weights
 
 from conftest import DATA
+from table_dicts import comp_dict, with_mu
 
 CAP = 20
 
@@ -39,10 +39,12 @@ def kms_oracle(W):
         except (InfiniteCoefficient, ZeroWeight):
             pass
 
+    comp = comp_dict(H)
+
     def unit_mass(x, y):
         if not H.composable(x, y):
             return 0
-        return sum(W.mu[(a, x, y)] for a in H.comp[(x, y)] if a in units)
+        return sum(W.mu[(a, x, y)] for a in comp[(x, y)] if a in units)
 
     names = H.arrow_names
     failures = []
@@ -133,7 +135,7 @@ def _mutant(W, rng):
     else:
         for k in identity_keys:
             mu[k] = rng.randint(1, 3)
-    return dataclasses.replace(W, mu=mu, left=tuple(left), right=tuple(right))
+    return with_mu(W, mu, tuple(left), tuple(right))
 
 
 def test_checker_matches_the_oracle_on_mutants(tables):

@@ -28,6 +28,7 @@ from hyperq.io import load_input
 from hyperq.realization import CosetSpec, coset_union_action, orbit_atoms
 
 from conftest import DATA
+from table_dicts import comp_dict
 from test_pair_orbits_oracle import LADDER
 
 _MU_RECORD = '    {\n      "a": %s,\n      "g": %s,\n      "gp": %s,\n      "value": %s\n    }'
@@ -162,7 +163,7 @@ def _abstract_file(tmp_path, name, H, order, values):
                     "tgt": H.unit_names[H.tgt[g]], "star": nm[H.star[g]]} for g in order],
         "unit_arrows": {u: nm[H.unit_arrow[e]] for e, u in enumerate(H.unit_names)},
         "comp": [{"left": nm[b], "right": nm[a], "result": [nm[c] for c in cs]}
-                 for (b, a), cs in H.comp.items()],
+                 for (b, a), cs in comp_dict(H).items()],
         "mu": [{"a": nm[c], "g": nm[b], "gp": nm[a],
                 "value": extnat_to_json(values[i % len(values)])}
                for i, (b, a, c) in enumerate(zip(b_, a_, c_))],

@@ -19,7 +19,6 @@ import random
 import pytest
 
 from conftest import DATA
-from hyperq.algebra import mu_view
 from hyperq.fixtures import random_coset_specs
 from hyperq.hypergroupoid import Hypergroupoid
 from hyperq.io import load_input
@@ -34,6 +33,7 @@ from hyperq.realization import (
     orbit_atoms,
     perm_mul,
 )
+from table_dicts import comp_dict, mu_dict
 
 
 def _row_major_orbits(action: PermAction):
@@ -72,11 +72,11 @@ def _assert_same_as_walk(action: PermAction):
     assert real.orbit_size == tuple(sizes)
     H = real.hypergroupoid
     rows, values = _pair_rows(membership, action.n_points, reps, H.by_source)
-    mu = mu_view(rows, values)
-    comp = Hypergroupoid(H.unit_names, H.arrow_names, H.src, H.tgt, H.star, H.unit_arrow,
-                         rows=rows).comp
-    assert list(real.mu.items()) == list(mu.items())
-    assert list(real.hypergroupoid.comp.items()) == list(comp.items())
+    walked = Hypergroupoid(H.unit_names, H.arrow_names, H.src, H.tgt, H.star, H.unit_arrow,
+                           rows=rows)
+    mu, comp = mu_dict(walked, values), comp_dict(walked)
+    assert list(mu_dict(H, real.values).items()) == list(mu.items())
+    assert list(comp_dict(H).items()) == list(comp.items())
 
 
 def _sym(degree):

@@ -2,14 +2,14 @@
 
 ``orbit_atoms`` keeps the structure constants as parallel columns (the
 rows (b, a, c) of the hypergroupoid and the value column of the
-realization), and ``comp`` and ``mu`` are dict views of them, built on
-first access.  The oracle here is the builder that wrote both dicts
-directly: one ``Counter`` per arrow over the keys rank(b)*k + a, the
-first composite and count of each key in two flat lists, the further
+realization).  The oracle here is the builder that wrote the comp and mu
+dicts directly: one ``Counter`` per arrow over the keys rank(b)*k + a,
+the first composite and count of each key in two flat lists, the further
 ones in ``more``, and one sweep in key order.  On the corpus of
-``tests/test_pair_orbits_oracle.py`` the views must equal its dicts in
-insertion order, with equal composition sets one object, and the weighted
-table and its weights must agree with them.
+``tests/test_pair_orbits_oracle.py`` the dicts read off the columns, and
+the weighted table's ``mu`` view, must equal its dicts in insertion
+order, the pair table's equal composition sets must be one object, and
+the weighted table and its weights must agree with them.
 
 ``orbit_atoms`` counts only the identity rows, whose composite is an
 identity arrow, and builds the whole table when it is first read.  The
@@ -46,6 +46,7 @@ from hyperq.realization import (
     orbit_atoms,
     weights,
 )
+from table_dicts import comp_dict, mu_dict
 from test_pair_orbits_oracle import ACTIONS, LADDER
 
 
@@ -126,12 +127,12 @@ def test_views_equal_the_dict_builder(name):
     mu, comp = dict_pair_products(real.membership, real.n_points, real.representative, src)
     W = weights(real)
     # equal dicts with equal item order
-    assert list(real.mu.items()) == list(mu.items())
+    assert list(mu_dict(H, real.values).items()) == list(mu.items())
     assert list(W.mu.items()) == list(mu.items())
-    assert list(H.comp.items()) == list(comp.items())
+    assert list(comp_dict(H).items()) == list(comp.items())
     # equal composition sets are one object, as in the oracle
     seen: dict[frozenset[int], frozenset[int]] = {}
-    for cs in H.comp.values():
+    for cs in H.pair_table[0]:
         assert seen.setdefault(cs, cs) is cs
     # the rows are the oracle's mu keys, the values its values
     b_, a_, c_ = H.rows
@@ -184,8 +185,7 @@ def _built(monkeypatch, argv):
     code = cli.main(argv)
     real, W = made
     parts = (("rows", W.base, "rows"), ("real.values", real, "values"),
-             ("W.values", W, "values"), ("real.mu", real, "mu"), ("W.mu", W, "mu"),
-             ("comp", W.base, "comp"))
+             ("W.values", W, "values"), ("W.mu", W, "mu"))
     built = {name for name, obj, attr in parts if attr in vars(obj)}
     # read after the call, which builds the table if the call did not
     assert W.base is real.hypergroupoid and W.values is real.values
@@ -222,14 +222,13 @@ def test_atoms_kms_and_evolve_build_no_table_at_s6_regular(tmp_path, monkeypatch
 
 def test_algebra_check_site_and_convolve_build_the_table(monkeypatch, capsys):
     path = str(DATA / "s3_cosets.json")
+    # each reads the table's columns and none builds the mu dict
     table = {"rows", "real.values", "W.values"}
     assert _built(monkeypatch, ["algebra", path]) == (0, table)
     assert _built(monkeypatch, ["algebra", path, "--format", "json"]) == (0, table)
-    # check and site read the pair table, never the comp dict
     assert _built(monkeypatch, ["check", path]) == (0, table)
     assert _built(monkeypatch, ["site", path]) == (0, table)
-    assert _built(monkeypatch, ["convolve", path, "--f", "[a1]", "--g", "[a1]"]) == (
-        0, table | {"comp", "W.mu"})
+    assert _built(monkeypatch, ["convolve", path, "--f", "[a1]", "--g", "[a1]"]) == (0, table)
     # a call that composes nothing builds the table all the same
     assert _built(monkeypatch, ["convolve", path, "--f", "0", "--g", "[a1]"]) == (0, table)
     capsys.readouterr()
@@ -314,7 +313,7 @@ def test_abstract_inputs_keep_their_composition_dict():
     doc = json.loads((DATA / "delta_abstract.json").read_text())
     H = spec.weighted.base
     names = H.arrow_names
-    assert [(names[b], names[a]) for b, a in H.comp] == [
+    assert [(names[b], names[a]) for b, a in comp_dict(H)] == [
         (rec["left"], rec["right"]) for rec in doc["comp"]]
     assert {(names[c], names[b], names[a]): v for (c, b, a), v in spec.weighted.mu.items()} == {
         (rec["a"], rec["g"], rec["gp"]): rec["value"] for rec in doc["mu"]}

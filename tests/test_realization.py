@@ -44,6 +44,7 @@ from hyperq.realization import (
     weights,
 )
 from numpy_oracles import membership_matrix, pair_orbits, pair_products
+from table_dicts import comp_dict, mu_dict
 from test_pair_orbits_oracle import LADDER
 
 
@@ -203,7 +204,7 @@ def test_pair_orbits_of_the_regular_action(real_regular):
     assert real_regular.orbit_size == (6,) * 6
     assert H.unit_arrow == (0,)
     # the group law: every composition set is a singleton
-    assert all(len(cs) == 1 for cs in H.comp.values())
+    assert all(len(cs) == 1 for cs in comp_dict(H).values())
 
 
 def test_pair_orbits_of_the_coset_action(real_cosets):
@@ -260,7 +261,7 @@ def test_count_mu_in_the_group_case(real_regular):
 def test_count_mu_verify_mode(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
-        for (b, a) in H.comp:
+        for (b, a) in comp_dict(H):
             for c in H.compose(b, a):
                 count_mu(real, c, b, a, verify=True)
 
@@ -270,13 +271,13 @@ def test_product_table_matches_per_triple_counts(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
         composites: dict[tuple[int, int], set[int]] = {}
-        for (c, b, a), v in real.mu.items():
+        for (c, b, a), v in mu_dict(H, real.values).items():
             composites.setdefault((b, a), set()).add(c)
             assert v == count_mu(real, c, b, a)
             assert v >= 1
         for (b, a), cs in composites.items():
             assert cs == H.compose(b, a)
-        assert composites.keys() == H.comp.keys()
+        assert composites.keys() == comp_dict(H).keys()
 
 
 _BROKEN_COSETS = """
@@ -338,7 +339,7 @@ def _assert_incidence_identity(real):
     n, k = real.n_points, real.n_arrows
     orbit_size = np.bincount(m.ravel(), minlength=k)
     by_b: dict[int, list[tuple[int, int, int]]] = {}
-    for (c, b, a), v in real.mu.items():
+    for (c, b, a), v in mu_dict(real.hypergroupoid, real.values).items():
         by_b.setdefault(b, []).append((c, a, v))
     for b in range(k):
         xs, ts = np.nonzero(m == b)
@@ -358,8 +359,8 @@ def _assert_incidence_identity(real):
 def test_products_match_integer_incidence_products(oracle_realizations):
     for name, real in oracle_realizations.items():
         _assert_incidence_identity(real)
-        assert all(real.mu.values()), name
-        assert all(real.hypergroupoid.comp.values()), name
+        assert all(real.values), name
+        assert all(comp_dict(real.hypergroupoid).values()), name
 
 
 def _assert_matches_numpy_oracle(real):
@@ -373,8 +374,9 @@ def _assert_matches_numpy_oracle(real):
     src = [point_orbit[y] for _, y in reps]
     mu, comp = pair_products(membership, reps, src, len(reps))
     # equal dicts with equal item order, so key order is included
-    assert list(real.mu.items()) == list(mu.items())
-    assert list(real.hypergroupoid.comp.items()) == list(comp.items())
+    H = real.hypergroupoid
+    assert list(mu_dict(H, real.values).items()) == list(mu.items())
+    assert list(comp_dict(H).items()) == list(comp.items())
 
 
 def test_realization_matches_the_numpy_oracle(oracle_realizations):
@@ -390,11 +392,11 @@ def test_realization_of_random_coset_specs_matches_the_numpy_oracle():
 def test_products_key_order(oracle_realizations):
     for name, real in oracle_realizations.items():
         src = real.hypergroupoid.src
-        keys = list(real.hypergroupoid.comp)
+        keys = list(comp_dict(real.hypergroupoid))
         assert keys == sorted(keys, key=lambda p: (src[p[0]], p[0], p[1])), name
         # mu lists the same pairs in the same order, each pair's
         # composites increasing
-        triples = list(real.mu)
+        triples = list(mu_dict(real.hypergroupoid, real.values))
         assert triples == sorted(triples, key=lambda t: (src[t[1]], t[1], t[2], t[0])), name
 
 
@@ -405,12 +407,12 @@ def test_equal_composition_sets_are_one_object(oracle_realizations):
     s2xs3 = (from_cycles(5, (0, 1)), from_cycles(5, (2, 3)), from_cycles(5, (2, 3, 4)))
     petersen = orbit_atoms(coset_union_action(
         CosetSpec(degree=5, group_generators=s5, subgroups=(("s2xs3", s2xs3),))))
-    repeated = Counter(cs for cs in petersen.hypergroupoid.comp.values() if len(cs) > 1)
+    repeated = Counter(cs for cs in petersen.hypergroupoid.pair_table[0] if len(cs) > 1)
     assert max(repeated.values()) == 2
     for name, real in (("s5_regular_points", oracle_realizations["s5_regular_points"]),
                        ("petersen", petersen)):
         seen: dict[frozenset[int], frozenset[int]] = {}
-        for cs in real.hypergroupoid.comp.values():
+        for cs in real.hypergroupoid.pair_table[0]:
             assert seen.setdefault(cs, cs) is cs, name
 
 
@@ -418,7 +420,7 @@ def test_counts_are_representative_independent(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
         m = membership_matrix(real)
-        for (c, b, a), v in real.mu.items():
+        for (c, b, a), v in mu_dict(H, real.values).items():
             pts = np.argwhere(m == c)
             for x, y in pts:
                 row = m[x, :] == b

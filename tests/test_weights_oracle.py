@@ -10,7 +10,6 @@ failures and their order, capped at 20) on the fixtures, seeded coset
 tables and seeded mutants that change mu values and weights.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -23,6 +22,7 @@ from hyperq.io import load_input
 from hyperq.realization import coset_union_action, orbit_atoms, weights
 
 from conftest import DATA
+from table_dicts import comp_dict, with_mu
 
 CAP = 20
 
@@ -46,7 +46,7 @@ def weights_oracle(W):
             ((a, g, gp), v * left[a], mu.get((gp, star[g], a), 0) * left[gp]))
         laws["murel-2"].append(
             ((a, g, gp), v * right[a], mu.get((g, a, star[gp]), 0) * right[g]))
-    for (g, gp), cs in sorted(H.comp.items()):
+    for (g, gp), cs in sorted(comp_dict(H).items()):
         total = 0
         for a in sorted(cs):
             total = total + mu[(a, g, gp)] * left[a]
@@ -99,7 +99,7 @@ def _mutant(W, rng):
             weights_[rng.randrange(len(weights_))] = rng.choice(_VALUES)
     else:
         left = [rng.choice(_VALUES) for _ in left]
-    return dataclasses.replace(W, mu=mu, left=tuple(left), right=tuple(right))
+    return with_mu(W, mu, tuple(left), tuple(right))
 
 
 def test_validate_weights_matches_the_oracle_on_mutants(tables):
