@@ -357,23 +357,20 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
     unless m(q, q') or m(q', q) is non-zero, so one pass over the
     identity rows of the table finds every pair that can fail, and only
     those pairs are evaluated, in (q, q') order; every other pair holds
-    as 0 = 0.  ``checked`` counts all pairs decided.  Pairs whose q' has
-    no chi are skipped and not counted; those arrows are listed in
+    as 0 = 0.  A pair is decided in integers, m(q, q') |q'|_r against
+    m(q', q) |q'|_l.  ``checked`` counts all pairs decided.  Pairs whose
+    q' has no chi are skipped and not counted; those arrows are listed in
     ``chi_undefined``.  An infinite identity entry at a pair that is
     evaluated raises InfiniteCoefficient naming the first such pair."""
-    H = W.base
-    ratio = {}
-    for g in range(H.n_arrows):
-        try:
-            ratio[g] = chi(W, g)
-        except (InfiniteCoefficient, ZeroWeight):
-            pass
+    H, left, right = W.base, W.left, W.right
+    # chi(g) = |g|_l / |g|_r is defined where both weights are finite and non-zero
+    defined = [is_finite(l) and is_finite(r) and l != 0 and r != 0 for l, r in zip(left, right)]
 
     # comp(x, y) holds at most one identity arrow, so m(x, y) is one row
     x_, y_, _ = H.identity_rows
     mass = {(x, y): v for x, y, v in zip(x_, y_, W.identity_values) if v != 0}
     candidates = sorted({pair for x, y in mass for pair in ((x, y), (y, x))
-                         if pair[1] in ratio})
+                         if defined[pair[1]]})
     # every candidate is evaluated, past the failure cap too, so an
     # infinite entry raises at the same pair as it would in a full scan
     names = H.arrow_names
@@ -385,12 +382,10 @@ def kms_check(W: WeightedHypergroupoid) -> KmsReport:
             raise InfiniteCoefficient(
                 f"kms pair ({names[q]},{names[qp]}) cannot be evaluated: "
                 f"the identity mu entry of ({names[x]},{names[y]}) is infinite")
-        lhs = m / ratio[qp]
-        rhs = Fraction(mp)
-        if lhs != rhs and len(failures) < _FAILURE_CAP:
-            failures.append((q, qp, lhs, rhs))
-    undefined = tuple(g for g in range(H.n_arrows) if g not in ratio)
-    return KmsReport(checked=H.n_arrows * len(ratio), failures=tuple(failures),
+        if m * right[qp] != mp * left[qp] and len(failures) < _FAILURE_CAP:
+            failures.append((q, qp, Fraction(m * right[qp], left[qp]), Fraction(mp)))
+    undefined = tuple(g for g, ok in enumerate(defined) if not ok)
+    return KmsReport(checked=H.n_arrows * sum(defined), failures=tuple(failures),
                      chi_undefined=undefined)
 
 

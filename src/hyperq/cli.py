@@ -27,7 +27,7 @@ from . import __version__
 from .algebra import chi, convolve_ext, kms_check, sigma, validate_weights
 from .errors import HyperqError, InfiniteCoefficient, SchemaError, ZeroWeight
 from .extnat import INF, extnat_to_json
-from .hypergroupoid import check_hg_axioms, to_quantale
+from .hypergroupoid import check_hg_axioms, gatherer, to_quantale
 from .io import format_complex, format_element, load_input, parse_element
 from .quantale import check_axioms, site
 from .realization import orbit_atoms, weights
@@ -118,14 +118,18 @@ def _mu_blocks(W, columns) -> Iterator[str]:
     """The rows of W's table as text, one chunk per arrow g, in g order.
     Each row is the concatenation, over ``columns``, of ``pieces[col[i]]``
     for each (col, pieces); the rows of one g are consecutive, already in
-    (g', a) order, so only the blocks are reordered."""
+    (g', a) order, so only the blocks are reordered.  A block's pieces are
+    gathered one column at a time and interleaved by strided slices."""
     g_ = W.base.rows[0]
     starts = list(compress(range(len(g_)), chain((True,), map(ne, islice(g_, 1, None), g_))))
     block = dict(zip(map(g_.__getitem__, starts), pairwise([*starts, len(g_)])))
+    w = len(columns)
     for g in sorted(block):
         s, e = block[g]
-        yield "".join(chain.from_iterable(zip(*[
-            map(pieces.__getitem__, col[s:e]) for col, pieces in columns])))
+        text = [""] * (w * (e - s))
+        for j, (col, pieces) in enumerate(columns):
+            text[j::w] = gatherer(col[s:e])(pieces)
+        yield "".join(text)
 
 
 def _mu_chunks(W) -> Iterator[str]:

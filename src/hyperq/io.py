@@ -228,7 +228,10 @@ def parse_element(text: str, arrow_names, allow_inf: bool = False) -> dict:
                 raise SchemaError("inf coefficient cannot be negative")
             value: object = INF
         else:
-            value = Fraction(coef) if coef else Fraction(1)
+            try:
+                value = Fraction(coef) if coef else Fraction(1)
+            except ZeroDivisionError:
+                raise SchemaError(f"zero denominator in term {m.group(0)!r}") from None
             if sign == "-":
                 value = -value
             if allow_inf:

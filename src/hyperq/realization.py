@@ -20,9 +20,10 @@ least point is the coset K itself, so G_x0 = K and its generators are
 K's, read off the input; an action given by its generators alone has
 them read by Schreier's lemma off a breadth-first Schreier tree of O
 (C. C. Sims, *Computational methods in the study of permutation
-groups*, 1970).  That row is labelled once, by least point; each other
-row x of O is the same labels read through the element taking x to x0
-that a Schreier tree of O gives, in either case.  So arrow ids follow
+groups*, 1970).  That row is labelled once, by least point; in either
+case one breadth-first walk of O from x0 writes each other row, row(s x)
+being row(x) read through s^-1, so no element is held per point of O
+and a coset input builds no Schreier tree.  So arrow ids follow
 the row-major order of least pairs, and each arrow's stored
 representative is its lexicographically least pair (x0, least point of
 its suborbit).
@@ -56,7 +57,7 @@ vectors as a weighted hypergroupoid ready for the convolution algebra.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
@@ -321,54 +322,40 @@ def _point_orbits(n: int, generators) -> tuple[list[int], list[list[int]]]:
     for start in range(n):
         if orbit[start] >= 0:
             continue
-        oid = len(groups)
-        orbit[start] = oid
+        orbit[start] = oid = len(groups)
         members = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in generators:
-                    y = s[x]
-                    if orbit[y] < 0:
-                        orbit[y] = oid
-                        members.append(y)
-                        nxt.append(y)
-            frontier = nxt
+        for x in members:   # breadth-first: the list grows as it is walked
+            for s in generators:
+                if orbit[y := s[x]] < 0:
+                    orbit[y] = oid
+                    members.append(y)
         groups.append(sorted(members))
     return orbit, groups
 
 
-def _schreier(generators, x0: int, n: int,
-              stabilizer: bool) -> tuple[dict[int, Perm], set[Perm]]:
-    """A Schreier tree of the orbit of x0, and, if ``stabilizer``,
-    generators of its stabilizer.
+def _schreier(generators, x0: int, n: int) -> set[Perm]:
+    """Generators of the stabilizer of x0, read off a Schreier tree of its
+    orbit.
 
     Breadth-first from x0: tinv[x] maps x to x0, and its inverse t[x] is
-    kept while x is on the frontier, only when the generators are asked
-    for.  An edge y = s x off the tree gives tinv[y] s t[x], which fixes
-    x0; by Schreier's lemma these generate the stabilizer.  Returns tinv
-    and the distinct non-identity ones, none if not asked for."""
+    kept until x is expanded.  An edge y = s x off the tree gives
+    tinv[y] s t[x], which fixes x0; by Schreier's lemma these generate the
+    stabilizer.  Returns the distinct non-identity ones."""
     e = identity_perm(n)
     steps = [(s, gatherer(s), gatherer(perm_inv(s))) for s in generators]
     tinv = {x0: e}
     found: set[Perm] = set()
-    frontier = [(x0, e if stabilizer else None)]
-    while frontier:
-        nxt = []
-        for x, t in frontier:
-            after_t = t and gatherer(t)   # p -> p t
-            for s, after_s, after_s_inv in steps:
-                y = s[x]
-                if y not in tinv:
-                    tinv[y] = after_s_inv(tinv[x])
-                    nxt.append((y, after_t and after_t(s)))
-                elif after_t:
-                    h = after_t(after_s(tinv[y]))
-                    if h != e:
-                        found.add(h)
-        frontier = nxt
-    return tinv, found
+    walk = deque([(x0, e)])
+    while walk:
+        x, t = walk.popleft()
+        after_t = gatherer(t)   # p -> p t
+        for s, after_s, after_s_inv in steps:
+            if (y := s[x]) not in tinv:
+                tinv[y] = after_s_inv(tinv[x])
+                walk.append((y, after_t(s)))
+            elif (h := after_t(after_s(tinv[y]))) != e:
+                found.add(h)
+    return found
 
 
 def _pair_orbits(action: PermAction, unit_points):
@@ -376,28 +363,35 @@ def _pair_orbits(action: PermAction, unit_points):
     least pair and size; ids in row-major order of least pairs.
 
     The orbits through row x0, the least point of a point orbit O, are
-    the orbits of the stabilizer of x0, numbered by least point; each
-    other row x of O is that row read through tinv[x], since (x, y) and
-    (x0, tinv[x] y) share an orbit.  The stabilizer's generators are the
-    action's own when it has them, else Schreier's."""
+    the orbits of the stabilizer of x0, numbered by least point.  The
+    stabilizer's generators are the action's own when it has them, else
+    Schreier's.  Every other row of O is written by a breadth-first walk
+    from x0 that carries the rows it has yet to expand: (s x, y) and
+    (x, s^-1 y) share an orbit, so row(s x) is row(x) read through s^-1."""
     n, generators, stabilizers = action.n_points, action.generators, action.stabilizers
     if stabilizers is not None and len(stabilizers) != len(unit_points):
         raise ValueError("stabilizers must list one tuple per point orbit")
+    steps = [(s, gatherer(perm_inv(s))) for s in generators]
     membership = [0] * (n * n)
     reps: list[tuple[int, int]] = []
     sizes: list[int] = []
     for o, points in enumerate(unit_points):
         x0 = points[0]
-        tinv, found = _schreier(generators, x0, n, stabilizers is None)
-        stabilizer = found if stabilizers is None else stabilizers[o]
+        stabilizer = _schreier(generators, x0, n) if stabilizers is None else stabilizers[o]
         if any(s[x0] != x0 for s in stabilizer):
             raise ValueError(f"a stabilizer generator moves point {x0}")
         suborbit, suborbits = _point_orbits(n, stabilizer)
         row = [len(reps) + k for k in suborbit]
         reps += [(x0, sub[0]) for sub in suborbits]
         sizes += [len(points) * len(sub) for sub in suborbits]
-        for x in points:
-            membership[x * n:(x + 1) * n] = gatherer(tinv[x])(row)
+        seen, walk = {x0}, deque([(x0, row)])
+        while walk:
+            x, row = walk.popleft()
+            membership[x * n:(x + 1) * n] = row
+            for s, after_s_inv in steps:
+                if (y := s[x]) not in seen:
+                    seen.add(y)
+                    walk.append((y, after_s_inv(row)))
     return membership, reps, sizes
 
 

@@ -132,6 +132,18 @@ def test_parse_element_rejections():
         parse_element("junk", NAMES6)
 
 
+@pytest.mark.parametrize("text, term", [
+    ("1/0*[a0]", "1/0*[a0]"),
+    ("0/0*[a1]", "0/0*[a1]"),
+    ("[a0] - 7/00*[a2]", "-7/00*[a2]"),
+])
+def test_parse_element_refuses_a_zero_denominator(text, term):
+    for allow_inf in (False, True):
+        with pytest.raises(SchemaError) as exc:
+            parse_element(text, NAMES6, allow_inf=allow_inf)
+        assert str(exc.value) == f"zero denominator in term {term!r}"
+
+
 def test_parse_element_extended_naturals():
     assert parse_element("inf*[a0] + 3*[a1]", NAMES6, allow_inf=True) == \
         {0: INF, 1: 3}
@@ -664,6 +676,22 @@ def test_kms_with_an_infinite_identity_entry_exits_two(tmp_path, flags, fmt):
     assert proc.stdout == ""
     assert proc.stderr == ("error: kms pair (d,d) cannot be evaluated: "
                            "the identity mu entry of (d,d) is infinite\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv, term", [
+    (["evolve", "--t", "1", "--element=1/0*[a0]"], "1/0*[a0]"),
+    (["convolve", "--f=0/0*[a0]", "--g=[a0]"], "0/0*[a0]"),
+], ids=["evolve", "convolve"])
+def test_a_zero_denominator_in_a_literal_exits_two(flags, argv, term):
+    # Fraction("1/0") raises ZeroDivisionError, which used to end in a
+    # traceback with exit 1, the code of a violated law
+    command, *extra = argv
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "hyperq.cli", command, str(FILES["s3_regular"]), *extra],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"input error: zero denominator in term {term!r}\n")
 
 
 _NO_NUMPY = """

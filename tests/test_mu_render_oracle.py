@@ -10,7 +10,8 @@ same bytes in both formats on the fixtures, the ladder's regular
 actions, seeded coset tables on several units (where src is not
 monotone in arrow id, so the g blocks are out of row order), and
 abstract tables with infinite, zero and 20-digit values, names that need
-JSON escapes or padding, and an empty table.
+JSON escapes or padding, an empty table, a table of one row, and g
+blocks of a single row, which ``_mu_blocks`` gathers by one index.
 """
 
 import contextlib
@@ -214,3 +215,32 @@ def test_an_empty_table(tmp_path):
     _assert_same_as_oracle(path)
     assert '"mu": [],' in _algebra(path, "json")
     assert _algebra(path, "table").endswith("\ng  gp  a  mu\n-  --  -  --\n")
+
+
+def test_a_one_row_table(tmp_path):
+    # the trivial group on one point: one arrow, one row, one g block
+    path = _coset_file(tmp_path, "point", CosetSpec(1, (), (("e", ()),)))
+    assert cli.Context(str(path)).base.rows == ((0,), (0,), (0,))
+    _assert_same_as_oracle(path)
+    assert _algebra(path, "table").endswith("\ng   gp  a   mu\n--  --  --  --\na0  a0  a0  1\n")
+
+
+def test_g_blocks_of_one_row(tmp_path):
+    # the unit f has only its identity j, so the g block of j is the one
+    # row (j, j, j), next to blocks of two and three rows on the unit e
+    path = tmp_path / "one_row_blocks.json"
+    comp = {("i", "i"): ["i"], ("i", "d"): ["d"], ("d", "i"): ["d"], ("d", "d"): ["i", "d"],
+            ("j", "j"): ["j"]}
+    path.write_text(json.dumps({
+        "schema": "hyperq/1", "kind": "abstract", "name": "one_row_blocks", "units": ["e", "f"],
+        "arrows": [{"name": "i", "src": "e", "tgt": "e", "star": "i"},
+                   {"name": "j", "src": "f", "tgt": "f", "star": "j"},
+                   {"name": "d", "src": "e", "tgt": "e", "star": "d"}],
+        "unit_arrows": {"e": "i", "f": "j"},
+        "comp": [{"left": g, "right": gp, "result": cs} for (g, gp), cs in comp.items()],
+        "mu": [{"a": a, "g": g, "gp": gp, "value": v} for a, g, gp, v in [
+            ("i", "i", "i", 1), ("d", "i", "d", 1), ("d", "d", "i", 1),
+            ("i", "d", "d", 2), ("d", "d", "d", 12345678901234567890), ("j", "j", "j", "inf")]]}))
+    g_ = cli.Context(str(path)).base.rows[0]
+    assert sorted(g_.count(g) for g in set(g_)) == [1, 2, 3]
+    _assert_same_as_oracle(path)
