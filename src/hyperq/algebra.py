@@ -39,7 +39,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, itemgetter, mul as times, sub
+from operator import itemgetter, mul as times, sub
 
 from .checks import Check, Report
 from .errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
@@ -207,18 +207,14 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
     arrows = range(H.n_arrows)
     dleft, dright = derived_weights(H, W.identity_values)
     g_, gp_, a_ = H.rows
-    star = H.star
-    at_a, at_g, at_gp = gatherer(a_), gatherer(g_), gatherer(gp_)
+    at_a, at_g, at_gp, at_star = gatherer(a_), gatherer(g_), gatherer(gp_), gatherer(H.star)
     get = dict(zip(H.keys, values)).get
-    # the key parts of b and of b*, per arrow b
-    high, mid = H.key_parts
-    at_star = gatherer(star)
-    high_star, mid_star = at_star(high), at_star(mid)
+    star_g, star_gp, star_a = (H.through("star", col) for col in (g_, gp_, a_))
 
-    def entries(highs, mids, cs):
-        """<c | b, a> at the rows with key parts highs of b and mids of a,
-        and c, 0 off the table."""
-        return map(get, map(add, map(add, highs, mids), cs), repeat(0))
+    def entries(b_, a_, c_):
+        """<c | b, a> at the rows (b, a, c) of three id columns, 0 off the
+        table."""
+        return map(get, H.pack(b_, a_, c_), repeat(0))
 
     # the murel-1 terms v |a|_l, summed per (g, g') by murel-3
     terms = list(map(times, values, at_a(left)))
@@ -237,12 +233,11 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
         _law("left-def", arrows, left, dleft),
         _law("right-def", arrows, right, dright),
         _law("star-left", arrows, at_star(left), right),
-        _law("star-mu", zip(a_, g_, gp_), values,
-             entries(at_gp(high_star), at_g(mid_star), at_a(star))),
+        _law("star-mu", zip(a_, g_, gp_), values, entries(star_gp, star_g, star_a)),
         _law("murel-1", zip(a_, g_, gp_), terms,
-             map(times, entries(at_g(high_star), at_a(mid), gp_), at_gp(left))),
+             map(times, entries(star_g, a_, gp_), at_gp(left))),
         _law("murel-2", zip(a_, g_, gp_), map(times, values, at_a(right)),
-             map(times, entries(at_a(high), at_gp(mid_star), g_), at_g(right))),
+             map(times, entries(a_, star_gp, g_), at_g(right))),
         _law("murel-3", zip(pair_g, pair_gp),
              map(times, gatherer(pair_g)(left), gatherer(pair_gp)(left)), totals),
     ))

@@ -19,9 +19,8 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from itertools import chain, compress, islice, pairwise
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
-from operator import ne
 
 from . import __version__
 from .algebra import chi, convolve_ext, kms_check, sigma, validate_weights
@@ -118,11 +117,14 @@ def _mu_blocks(W, columns) -> Iterator[str]:
     """The rows of W's table as text, one chunk per arrow g, in g order.
     Each row is the concatenation, over ``columns``, of ``pieces[col[i]]``
     for each (col, pieces); the rows of one g are consecutive, already in
-    (g', a) order, so only the blocks are reordered.  A block's pieces are
-    gathered one column at a time and interleaved by strided slices."""
-    g_ = W.base.rows[0]
-    starts = list(compress(range(len(g_)), chain((True,), map(ne, islice(g_, 1, None), g_))))
-    block = dict(zip(map(g_.__getitem__, starts), pairwise([*starts, len(g_)])))
+    (g', a) order, and the blocks, one per g in rank order, are found by
+    ``index`` each past the one before.  A block's pieces are gathered one
+    column at a time and interleaved by strided slices."""
+    g_, order = W.base.rows[0], W.base.by_source[0]
+    starts = [0]
+    for g in order[1:]:
+        starts.append(g_.index(g, starts[-1]))
+    block = dict(zip(order, pairwise([*starts, len(g_)])))
     w = len(columns)
     for g in sorted(block):
         s, e = block[g]

@@ -15,15 +15,18 @@ The defining laws checked by ``check_hg_axioms``:
        columns by looking up the keys of the rows (y*, x, z) and
        (x, z*, y)
 
-The composition table is kept in one form, int columns with one row
-(b, a, c) per composite c of each composable pair; a dict of composition
-sets is turned into rows once, by ``from_comp``.  A table may be given by
-a function that builds it: it is then built and checked on first read,
-and until then only its identity rows, whose composite is an identity
-arrow, are held.  The weights and the KMS check read no other row.  The
-law checks and ``to_quantale`` read the pair table, one composition set
-per composable pair in row order, indexed by place; every other reader
-takes the places of one pair's rows, found by key.
+The composition table is kept in one form, arrow-id columns with one
+row (b, a, c) per composite c of each composable pair, held as ``bytes``
+up to 256 arrows, so that a per-arrow map is one ``bytes.translate``, and
+as ``array('H')`` up to 65536 (``column_codec``); a row's key packs
+rank(b), a and c into one int.  A dict of composition sets is turned into
+rows once, by ``from_comp``.  A table may be given by a function that
+builds it: it is then built and checked on first read, and until then
+only its identity rows, whose composite is an identity arrow, are held.
+The weights and the KMS check read no other row.  The law checks and
+``to_quantale`` read the pair table, one composition set per composable
+pair in row order, indexed by place; every other reader takes the places
+of one pair's rows, found by key.
 
 Subsets of arrows under pointwise composition form an atomic modular
 quantale; ``to_quantale`` builds its atom table and ``from_quantale``
@@ -33,13 +36,15 @@ atoms absorbing it on each side (NotModular when resolution fails).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, islice, repeat
-from operator import add, gt, lt, mul, ne, or_, sub
+from operator import gt, lt, or_, sub
 
 from .checks import Report, first_failure
 from .errors import MalformedTable, NotModular
@@ -48,6 +53,9 @@ from .quantale import AtomicQuantale, gatherer
 EMPTY: frozenset[int] = frozenset()
 
 Rows = tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+# the places of rank(b), a and c among the four id fields of a key record
+B_FIELD, A_FIELD, C_FIELD = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
 
 class lazy:
@@ -72,13 +80,16 @@ class lazy:
         return value
 
 
-def pair_starts(rows: Rows) -> list[int]:
-    """The first row of each pair (b, a) of ``rows``, in row order."""
-    b_, a_, _ = rows
-    if not len(b_):
-        return []
-    return [0, *compress(range(1, len(b_)), map(
-        or_, map(ne, islice(b_, 1, None), b_), map(ne, islice(a_, 1, None), a_)))]
+def column_codec(n_arrows: int):
+    """(width, column, table, apply) for a table on ``n_arrows`` arrows:
+    ``column(ids)`` holds ids in ``width`` bytes each, and apply(col,
+    table(m)) is the column of m(g) at each id g of col for a per-arrow
+    map m, by ``bytes.translate`` at width 1 and ``itemgetter`` at 2."""
+    if n_arrows <= 256:
+        return 1, bytes, lambda m: bytes(m).ljust(256, b"\0"), bytes.translate
+    if n_arrows <= 65536:
+        return 2, partial(array, "H"), tuple, lambda col, m: array("H", gatherer(col)(m))
+    raise MalformedTable(f"a table holds at most 65536 arrows, not {n_arrows}")
 
 
 def source_order(src: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -111,9 +122,10 @@ class Hypergroupoid:
     """Arrows between units with an involution, identity arrows and a
     composition table.
 
-    The table is ``rows``: int columns (b, a, c), one row per composite c
-    of each composable pair (b, a), in strictly increasing ``keys``
-    (rank(b) n + a) n + c, b ranked by (src(b), b).  Callers pass one of:
+    The table is ``rows``: id columns (b, a, c) held by ``codec``, one
+    row per composite c of each composable pair (b, a), in strictly
+    increasing ``keys`` rank(b) 2**(16w) + a 2**(8w) + c, b ranked by
+    (src(b), b) and w the bytes of an id.  Callers pass one of:
 
     - ``rows``, checked whole columns at a time (``from_comp`` builds
       them from a dict {(b, a): composition set});
@@ -140,10 +152,9 @@ class Hypergroupoid:
 
     def _built_rows(self) -> Rows:
         """The rows of ``build``, checked, with their identity rows."""
-        rows = self._build()
-        keys = self._checked(rows)
+        rows, keys = self._checked(self._build())
         index = self._identity_index(rows[2])
-        if tuple(map(gatherer(index), rows)) != self.identity_rows:
+        if tuple(map(self.codec[1], map(gatherer(index), rows))) != self.identity_rows:
             raise MalformedTable("composition rows disagree with the identity rows counted first")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "identity_index", index)
@@ -166,10 +177,13 @@ class Hypergroupoid:
                             ("unit_arrow", unit_arrow)):
             object.__setattr__(self, name, value)
         nu, na = len(unit_names), len(arrow_names)
+        object.__setattr__(self, "codec", column_codec(na))
         if not len(src) == len(tgt) == len(star) == na:
             raise MalformedTable("src, tgt and star must have one entry per arrow")
         if len(unit_arrow) != nu:
             raise MalformedTable("unit_arrow must have one entry per unit")
+        if not set(src).union(tgt) <= set(range(nu)):
+            raise MalformedTable("src and tgt must be unit ids")
         for g in range(na):
             s = star[g]
             if star[s] != g:
@@ -181,63 +195,70 @@ class Hypergroupoid:
                 raise MalformedTable(
                     f"identity arrow {i} of unit {e} must be a self-adjoint loop at {e}")
         if build is not None:
+            if (identity_rows := self._held(identity_rows)) is None:
+                raise MalformedTable("identity rows must hold arrow ids")
             object.__setattr__(self, "_build", build)
-            object.__setattr__(self, "identity_rows", tuple(map(tuple, identity_rows)))
+            object.__setattr__(self, "identity_rows", identity_rows)
             return
-        object.__setattr__(self, "keys", self._checked(rows))
+        rows, keys = self._checked(rows)
+        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "rows", rows)
         index = self._identity_index(rows[2])
         object.__setattr__(self, "identity_index", index)
-        object.__setattr__(self, "identity_rows", tuple(map(gatherer(index), rows)))
+        object.__setattr__(self, "identity_rows",
+                           tuple(map(self.codec[1], map(gatherer(index), rows))))
 
-    def _checked(self, rows: Rows) -> list[int]:
-        """The keys of the rows, if ``_rows_hold``; else MalformedTable
-        naming the first fault, in row order, as the dict check does.
-        Rows out of order are the one fault a dict cannot have."""
-        keys = self._rows_hold(rows)
+    def _held(self, rows: Rows) -> Rows | None:
+        """The columns of ``rows`` held as ``codec`` holds them, or None
+        if an id is negative or too wide for it.  A column of another kind
+        is read id by id: bytes(array("q", ...)) would copy its raw bytes."""
+        column, kind = self.codec[1], type(self.codec[1](()))
+        try:
+            return tuple(column(col if type(col) is kind else iter(col)) for col in rows)
+        except (ValueError, OverflowError):
+            return None
+
+    def _checked(self, rows: Rows) -> tuple[Rows, list[int]]:
+        """The rows held as ``codec`` holds them, with their keys, if
+        ``_rows_hold``; else MalformedTable naming the first fault, in row
+        order, as the dict check does.  Rows out of order are the one
+        fault a dict cannot have."""
+        held = self._held(rows)
+        keys = None if held is None else self._rows_hold(held)
         if keys is None:
             sets: dict[tuple[int, int], set[int]] = {}
             for b, a, c in zip(*rows):
                 sets.setdefault((b, a), set()).add(c)
             self._check_comp(sets)
             raise MalformedTable("composition rows must strictly increase by src(b), b, a, c")
-        return keys
+        return held, keys
 
     def _identity_index(self, c_) -> list[int]:
         """The places of the identity arrows in a composite column."""
-        is_unit = [False] * self.n_arrows
-        for i in self.unit_arrow:
-            is_unit[i] = True
-        return list(compress(range(len(c_)), gatherer(c_)(is_unit)))
+        return list(compress(range(len(c_)), self.through("unit", c_)))
 
     def _rows_hold(self, rows: Rows) -> list[int] | None:
-        """The keys of the rows if they are arrow ids, each pair
-        composable with each composite in hom(src a, tgt b), in strictly
-        increasing key, with every composable pair among them; else None.
-        Whole columns at a time."""
+        """The keys of rows held as ``codec`` holds them, if they are arrow
+        ids, each pair composable with each composite in hom(src a, tgt b),
+        in strictly increasing key, with every composable pair among them;
+        else None.  Whole columns at a time."""
         b_, a_, c_ = rows
-        src, tgt = self.src, self.tgt
-        if not len(b_) == len(a_) == len(c_):
+        at = self.through
+        try:
+            # at width 1 an id past the arrows is one the translate tables
+            # do not map, at width 2 itemgetter refuses it; columns of
+            # unequal lengths differ here
+            if (self.codec[0] == 1 and (b_ + a_ + c_).translate(None, self.maps["ids"])
+                    or (at("src", b_), at("src", c_), at("tgt", c_))
+                    != (at("tgt", a_), at("src", a_), at("tgt", b_))):
+                return None
+        except IndexError:
             return None
-        pairs = set()
-        keys: list[int] = []
-        if c_:
-            if min(b_) < 0 or min(a_) < 0 or min(c_) < 0:
-                return None
-            at_b, at_a, at_c = gatherer(b_), gatherer(a_), gatherer(c_)
-            try:
-                if not (at_b(src) == at_a(tgt) and at_c(src) == at_a(src)
-                        and at_c(tgt) == at_b(tgt)):
-                    return None
-            except IndexError:
-                return None
-            high, mid = self.key_parts
-            keys = list(map(add, map(add, at_b(high), at_a(mid)), c_))
-            if not all(map(lt, keys, islice(keys, 1, None))):
-                return None
-            # key - c is the pair's part of the key
-            pairs = set(map(sub, keys, c_))
-        return keys if len(pairs) == self._composable_pairs() else None
+        keys = self.pack(b_, a_, c_)
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            return None
+        pairs = len(c_) - self._pair_starts(b_, a_).count(0)
+        return keys if pairs == self._composable_pairs() else None
 
     def _check_comp(self, comp):
         """MalformedTable naming the first fault of a comp dict, entry by
@@ -266,10 +287,12 @@ class Hypergroupoid:
                         raise MalformedTable(f"missing composition set for ({b},{a})")
 
     def _composable_pairs(self) -> int:
-        """The number of pairs (b, a) with src(b) = tgt(a): over the units
-        u, #{b | src(b) = u} times #{a | tgt(a) = u}."""
-        units = range(self.n_units)
-        return sum(map(mul, map(self.src.count, units), map(self.tgt.count, units)))
+        """The number of pairs (b, a) with src(b) = tgt(a): over the arrows
+        b, #{a | tgt(a) = src(b)}, in one pass over each column."""
+        into = [0] * self.n_units
+        for u in self.tgt:
+            into[u] += 1
+        return sum(map(into.__getitem__, self.src))
 
     @lazy
     def by_source(self) -> tuple[list[int], list[int]]:
@@ -278,12 +301,42 @@ class Hypergroupoid:
         return source_order(self.src)
 
     @lazy
-    def key_parts(self) -> tuple[list[int], list[int]]:
-        """(high, mid): row (b, a, c) has the key high[b] + mid[a] + c,
-        where high[b] = rank(b) n**2, rank(b) the place of b in the order
-        by (src(b), b), and mid[a] = a n."""
-        n = self.n_arrows
-        return [r * n * n for r in self.by_source[1]], [a * n for a in range(n)]
+    def maps(self) -> dict[str, Sequence[int]]:
+        """The per-arrow maps src, tgt, rank (by (src(b), b)), star, unit
+        (true at an identity arrow) and ids (every arrow id, for
+        ``bytes.translate`` to delete at width 1), as ``codec`` applies them."""
+        arrows = range(self.n_arrows)
+        maps = {"src": self.src, "tgt": self.tgt, "rank": self.by_source[1], "star": self.star,
+                "unit": list(map(set(self.unit_arrow).__contains__, arrows)), "ids": arrows}
+        return {name: self.codec[2](m) for name, m in maps.items()}
+
+    def through(self, name: str, col: Sequence[int]) -> Sequence[int]:
+        """The map ``name`` of ``maps`` at each id of ``col``, held alike."""
+        return self.codec[3](col, self.maps[name])
+
+    def pack(self, b_: Sequence[int], a_: Sequence[int], c_: Sequence[int]) -> list[int]:
+        """The keys of the rows (b, a, c) of three id columns held as
+        ``rows`` are: rank(b), a and c fill the fields of one key record
+        per row by strided slices, and the records are read as ints."""
+        w = self.codec[0]
+        plane = bytearray(4 * len(a_)) if w == 1 else array("H", bytes(8 * len(a_)))
+        plane[B_FIELD::4] = self.through("rank", b_)
+        plane[A_FIELD::4] = a_
+        plane[C_FIELD::4] = c_
+        return memoryview(plane).cast("B").cast("IQ"[w - 1]).tolist()
+
+    def _pair_starts(self, b_: Sequence[int], a_: Sequence[int]) -> bytes:
+        """One byte per row of columns b and a, 0 where the row's pair is
+        the one before's: each column XOR itself a row down (big-endian, a
+        column less its last row is one row down), ORed, the first row
+        marked, and at width 2 the two bytes of a row ORed into one."""
+        w, n = self.codec[0], len(a_)
+        changes = 1 << 8 * w * n >> 8 * w  # the first row, the top id, starts a pair
+        for col in (b_, a_):
+            changes |= int.from_bytes(col, "big") ^ int.from_bytes(col[:-1], "big")
+        diff = changes.to_bytes(w * n, "big")
+        return diff if w == 1 else (int.from_bytes(diff[::2], "big")
+                                    | int.from_bytes(diff[1::2], "big")).to_bytes(n, "big")
 
     @lazy
     def keys(self) -> list[int]:
@@ -304,7 +357,8 @@ class Hypergroupoid:
     @lazy
     def pair_starts(self) -> list[int]:
         """The first row of each composable pair, in row order."""
-        return pair_starts(self.rows)
+        b_, a_, _ = self.rows
+        return list(compress(range(len(b_)), self._pair_starts(b_, a_)))
 
     @lazy
     def pair_table(self) -> tuple[tuple[frozenset[int], ...], list[int], list[int]]:
@@ -342,12 +396,12 @@ class Hypergroupoid:
         return self.src[b] == self.tgt[a]
 
     def pair(self, b: int, a: int) -> range:
-        """The places in ``rows`` of the rows of (b, a), one per
-        composite, where its values sit too; empty for a non-composable
-        pair.  Their keys are high[b] + mid[a] + c with 0 <= c < n, one
-        run of the increasing ``keys``, so two bisections find it."""
-        high, mid = self.key_parts
-        key, keys = high[b] + mid[a], self.keys
+        """The places in ``rows`` of the rows of (b, a), one per composite,
+        where its values sit too: empty for a non-composable pair, and
+        IndexError past the arrows.  Their keys (rank(b), a, c), 0 <= c < n,
+        are one run of the increasing ``keys``: two bisections find it."""
+        shift, keys = 8 * self.codec[0], self.keys
+        key = (self.by_source[1][b] << shift | range(self.n_arrows)[a]) << shift
         return range(bisect_left(keys, key), bisect_left(keys, key + self.n_arrows))
 
     def compose(self, b: int, a: int) -> frozenset[int]:
@@ -376,11 +430,10 @@ class Hypergroupoid:
 
 def same_structure(H1: Hypergroupoid, H2: Hypergroupoid) -> bool:
     """Structural equality on ids, ignoring display names.  With equal
-    sources the rows are in one order, so equal tables have equal row
-    columns, compared as tuples whatever sequences hold them."""
+    sources the rows are in one order and held alike, so equal tables
+    have equal row columns."""
     return (H1.src == H2.src and H1.tgt == H2.tgt and H1.star == H2.star
-            and H1.unit_arrow == H2.unit_arrow
-            and tuple(map(tuple, H1.rows)) == tuple(map(tuple, H2.rows)))
+            and H1.unit_arrow == H2.unit_arrow and H1.rows == H2.rows)
 
 
 def from_comp(unit_names, arrow_names, src, tgt, star, unit_arrow,
@@ -473,7 +526,7 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
     the table.  Only a failing table is searched for its first failing
     (x, y, z) in (y, z, x) order."""
     results = []
-    n, src, tgt, star = H.n_arrows, H.src, H.tgt, H.star
+    n, src, tgt = H.n_arrows, H.src, H.tgt
     sets, block, pos = H.pair_table
 
     # HG1: the declared identity i of each unit e absorbs on both sides.
@@ -529,11 +582,9 @@ def check_hg_axioms(H: Hypergroupoid) -> Report:
     # HG3: x in yz implies z in y*x and y in xz*, that is, row (y, z, x)
     # implies rows (y*, x, z) and (x, z*, y), looked up by key
     y_, z_, x_ = H.rows
-    at_y, at_z, at_x, at_star = gatherer(y_), gatherer(z_), gatherer(x_), gatherer(star)
-    high, mid = H.key_parts
     keys = set(H.keys)
-    via_y = list(map(add, map(add, at_y(at_star(high)), at_x(mid)), z_))
-    via_z = list(map(add, map(add, at_x(high), at_z(at_star(mid))), y_))
+    via_y = H.pack(H.through("star", y_), x_, z_)
+    via_z = H.pack(x_, H.through("star", z_), y_)
     hg3_ce = None
     if not (keys.issuperset(via_y) and keys.issuperset(via_z)):
         # the first failing row in (y, z, x) order, not in row order

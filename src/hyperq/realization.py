@@ -65,7 +65,7 @@ from operator import add
 
 from .algebra import WeightedHypergroupoid, derived_weights, identity_checked
 from .errors import HyperqError, OrderBoundExceeded
-from .hypergroupoid import Hypergroupoid, Rows, gatherer, lazy, source_order
+from .hypergroupoid import Hypergroupoid, Rows, column_codec, gatherer, lazy, source_order
 
 Perm = tuple[int, ...]
 
@@ -456,8 +456,8 @@ def _pair_rows(membership, n, reps, by_source, arrows=None):
     (src[b], b), as ``by_source`` = ``source_order(src)`` ranks it, and its
     keys, counts and c extend three flat columns.  One stable sort by key
     then orders the rows by src[b], b, a and, as arrows are taken in
-    increasing c, c.  Returns the rows (b, a, c) and the value column
-    <c | b, a>."""
+    increasing c, c.  Returns the rows (b, a, c), id columns held as
+    ``column_codec(k)`` holds them, and the value column <c | b, a>."""
     k = len(reps)
     order, rank = by_source
     rows: dict[int, list[int]] = {}
@@ -474,15 +474,16 @@ def _pair_rows(membership, n, reps, by_source, arrows=None):
         values += counts.values()
         cs += repeat(c, len(counts))
     at = gatherer(sorted(range(len(keys)), key=keys.__getitem__))
+    column = column_codec(k)[1]
     if 4 * len(keys) < k * k:
         # a few rows, such as the identity rows: each key is divided out
         ranks, a_ = zip(*map(divmod, at(keys), repeat(k))) if keys else ((), ())
-        return (gatherer(ranks)(order), a_, at(cs)), at(values)
+        return (column(gatherer(ranks)(order)), column(a_), column(at(cs))), at(values)
     # the b and a of each key rank(b)*k + a, looked up in lists of all k*k
     at_key = gatherer(at(keys))
     b_of = list(chain.from_iterable(map(repeat, order, repeat(k))))
     a_of = list(range(k)) * k
-    return (at_key(b_of), at_key(a_of), at(cs)), at(values)
+    return (column(at_key(b_of)), column(at_key(a_of)), column(at(cs))), at(values)
 
 
 # ---------------------------------------------------------------------------

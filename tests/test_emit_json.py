@@ -60,7 +60,10 @@ def _mu_case(keys, values):
     mu = dict(zip(keys, values))
     rows = sorted(keys, key=lambda key: -key[1])
     c_, b_, a_ = zip(*rows) if rows else ((), (), ())
-    W = SimpleNamespace(base=SimpleNamespace(rows=(b_, a_, c_), arrow_names=NAMES),
+    # by_source[0] lists the g blocks in table order, as a hypergroupoid's
+    # ranking of its arrows does
+    W = SimpleNamespace(base=SimpleNamespace(rows=(b_, a_, c_), arrow_names=NAMES,
+                                             by_source=(list(dict.fromkeys(b_)), None)),
                         values=[mu[key] for key in rows])
     encoded = {"command": "algebra", "mu": cli._mu_chunks(W),
                "weights": [{"id": NAMES[1], "chi": "-"}], "ok": True}

@@ -163,7 +163,7 @@ def test_identity_rows_are_counted_apart_in_table_order(name):
     assert W.identity_values == real.identity_values
     at = [i for i, c in enumerate(H.rows[2]) if c in units]
     assert H.identity_index == at
-    assert H.identity_rows == tuple(tuple(col[i] for i in at) for col in H.rows)
+    assert tuple(map(tuple, H.identity_rows)) == tuple(tuple(col[i] for i in at) for col in H.rows)
     assert real.identity_values == tuple(real.values[i] for i in at)
     assert W.values is real.values
 

@@ -120,7 +120,7 @@ def _assert_agrees(W, rng, products=8):
         h = {g: rng.choice((0, 1, 2, 3, INF)) for g in rng.sample(range(n), min(n, 3))}
         assert convolve_ext(W, f, h) == dict_convolve_ext(comp, mu, f, h)
     # the same table in other row containers, and a mutant
-    for rows in (tuple(map(list, H.rows)), tuple(array("q", col) for col in H.rows)):
+    for rows in (tuple(map(list, H.rows)), tuple(array("q", tuple(col)) for col in H.rows)):
         assert same_structure(H, dataclasses.replace(H, rows=rows))
     arrows, units = tuple(range(n)), tuple(range(H.n_units))
     assert check_morphism(H, H, units, arrows).ok
