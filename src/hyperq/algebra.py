@@ -207,21 +207,20 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
     arrows = range(H.n_arrows)
     dleft, dright = derived_weights(H, W.identity_values)
     g_, gp_, a_ = H.rows
-    at_a, at_g, at_gp, at_star = gatherer(a_), gatherer(g_), gatherer(gp_), gatherer(H.star)
     get = dict(zip(H.keys, values)).get
-    star_g, star_gp, star_a = (H.through("star", col) for col in (g_, gp_, a_))
+    star_g, star_gp = H.through("star", g_), H.through("star", gp_)
 
     def entries(b_, a_, c_):
         """<c | b, a> at the rows (b, a, c) of three id columns, 0 off the
         table."""
         return map(get, H.pack(b_, a_, c_), repeat(0))
 
-    # the murel-1 terms v |a|_l, summed per (g, g') by murel-3
-    terms = list(map(times, values, at_a(left)))
+    # the murel-1 terms v |a|_l, summed per (g, g') by murel-3.  A column's
+    # gatherer holds its ids, at width 2 one int object each: none is kept
+    terms = list(map(times, values, gatherer(a_)(left)))
     starts = H.pair_starts
     ends = [*starts[1:], len(terms)]
     at_pair = gatherer(starts)
-    pair_g, pair_gp = at_pair(g_), at_pair(gp_)
     # each pair's total is the difference of a running sum at its ends,
     # unless a term is infinite: that cannot be taken back out
     run = [0, *accumulate(terms)]
@@ -232,14 +231,15 @@ def validate_weights(W: WeightedHypergroupoid) -> Report:
     return Report((
         _law("left-def", arrows, left, dleft),
         _law("right-def", arrows, right, dright),
-        _law("star-left", arrows, at_star(left), right),
-        _law("star-mu", zip(a_, g_, gp_), values, entries(star_gp, star_g, star_a)),
+        _law("star-left", arrows, gatherer(H.star)(left), right),
+        _law("star-mu", zip(a_, g_, gp_), values,
+             entries(star_gp, star_g, H.through("star", a_))),
         _law("murel-1", zip(a_, g_, gp_), terms,
-             map(times, entries(star_g, a_, gp_), at_gp(left))),
-        _law("murel-2", zip(a_, g_, gp_), map(times, values, at_a(right)),
-             map(times, entries(a_, star_gp, g_), at_g(right))),
-        _law("murel-3", zip(pair_g, pair_gp),
-             map(times, gatherer(pair_g)(left), gatherer(pair_gp)(left)), totals),
+             map(times, entries(star_g, a_, gp_), gatherer(gp_)(left))),
+        _law("murel-2", zip(a_, g_, gp_), map(times, values, gatherer(a_)(right)),
+             map(times, entries(a_, star_gp, g_), gatherer(g_)(right))),
+        _law("murel-3", zip(map(g_.__getitem__, starts), map(gp_.__getitem__, starts)),
+             map(times, gatherer(at_pair(g_))(left), gatherer(at_pair(gp_))(left)), totals),
     ))
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -121,9 +121,7 @@ def _mu_blocks(W, columns) -> Iterator[str]:
     ``index`` each past the one before.  A block's pieces are gathered one
     column at a time and interleaved by strided slices."""
     g_, order = W.base.rows[0], W.base.by_source[0]
-    starts = [0]
-    for g in order[1:]:
-        starts.append(g_.index(g, starts[-1]))
+    starts = list(accumulate(order[1:], lambda start, g: g_.index(g, start), initial=0))
     block = dict(zip(order, pairwise([*starts, len(g_)])))
     w = len(columns)
     for g in sorted(block):

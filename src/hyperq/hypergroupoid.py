@@ -15,18 +15,16 @@ The defining laws checked by ``check_hg_axioms``:
        columns by looking up the keys of the rows (y*, x, z) and
        (x, z*, y)
 
-The composition table is kept in one form, arrow-id columns with one
-row (b, a, c) per composite c of each composable pair, held as ``bytes``
-up to 256 arrows, so that a per-arrow map is one ``bytes.translate``, and
-as ``array('H')`` up to 65536 (``column_codec``); a row's key packs
-rank(b), a and c into one int.  A dict of composition sets is turned into
-rows once, by ``from_comp``.  A table may be given by a function that
-builds it: it is then built and checked on first read, and until then
-only its identity rows, whose composite is an identity arrow, are held.
-The weights and the KMS check read no other row.  The law checks and
-``to_quantale`` read the pair table, one composition set per composable
-pair in row order, indexed by place; every other reader takes the places
-of one pair's rows, found by key.
+The composition table is kept in one form, arrow-id columns, held as
+``column_codec`` decides, with one row (b, a, c) per composite c of each
+composable pair; a dict of composition sets is turned into rows once, by
+``from_comp``.  A table may be given by a function that builds it: it is
+then built and checked on first read, and until then only its identity
+rows, whose composite is an identity arrow, are held.  The weights and
+the KMS check read no other row.  The law checks and ``to_quantale`` read
+the pair table, one composition set per composable pair in row order,
+indexed by place; every other reader takes the places of one pair's
+rows, found by key, which packs rank(b), a and c into one int.
 
 Subsets of arrows under pointwise composition form an atomic modular
 quantale; ``to_quantale`` builds its atom table and ``from_quantale``
@@ -39,12 +37,12 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress, islice, repeat
-from operator import gt, lt, or_, sub
+from operator import attrgetter, gt, lt, or_, sub
 
 from .checks import Report, first_failure
 from .errors import MalformedTable, NotModular
@@ -80,16 +78,22 @@ class lazy:
         return value
 
 
-def column_codec(n_arrows: int):
-    """(width, column, table, apply) for a table on ``n_arrows`` arrows:
-    ``column(ids)`` holds ids in ``width`` bytes each, and apply(col,
-    table(m)) is the column of m(g) at each id g of col for a per-arrow
-    map m, by ``bytes.translate`` at width 1 and ``itemgetter`` at 2."""
-    if n_arrows <= 256:
-        return 1, bytes, lambda m: bytes(m).ljust(256, b"\0"), bytes.translate
-    if n_arrows <= 65536:
-        return 2, partial(array, "H"), tuple, lambda col, m: array("H", gatherer(col)(m))
-    raise MalformedTable(f"a table holds at most 65536 arrows, not {n_arrows}")
+# How a table's id columns are held: ``width`` bytes an id, ``column(ids)``
+# of type ``kind``, ``reader(col)(table(m))`` a per-arrow map m at each id
+# of col (at width 2 a tuple), and ``plane(k)`` k zero ids to slice into
+Codec = namedtuple("Codec", "width kind column table reader plane")
+BYTES = Codec(1, bytes, bytes, lambda m: bytes(m).ljust(256, b"\0"), attrgetter("translate"),
+              bytearray)
+SHORTS = Codec(2, array, partial(array, "H"), tuple, gatherer, lambda k: array("H", bytes(2 * k)))
+
+
+def column_codec(n_arrows: int) -> Codec:
+    """The codec of a table on ``n_arrows`` arrows, the one place its id
+    width is decided: ``bytes`` and ``bytes.translate`` up to 256 arrows,
+    ``array('H')`` and ``itemgetter`` up to 65536; past that, refused."""
+    if n_arrows > 65536:
+        raise MalformedTable(f"a table holds at most 65536 arrows, not {n_arrows}")
+    return BYTES if n_arrows <= 256 else SHORTS
 
 
 def source_order(src: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -122,10 +126,9 @@ class Hypergroupoid:
     """Arrows between units with an involution, identity arrows and a
     composition table.
 
-    The table is ``rows``: id columns (b, a, c) held by ``codec``, one
-    row per composite c of each composable pair (b, a), in strictly
-    increasing ``keys`` rank(b) 2**(16w) + a 2**(8w) + c, b ranked by
-    (src(b), b) and w the bytes of an id.  Callers pass one of:
+    The table is ``rows``: id columns (b, a, c) held by ``codec``, one row
+    per composite c of each composable pair (b, a), in strictly increasing
+    ``keys`` (``pack``), that is by (src(b), b, a, c).  Callers pass one of:
 
     - ``rows``, checked whole columns at a time (``from_comp`` builds
       them from a dict {(b, a): composition set});
@@ -153,8 +156,8 @@ class Hypergroupoid:
     def _built_rows(self) -> Rows:
         """The rows of ``build``, checked, with their identity rows."""
         rows, keys = self._checked(self._build())
-        index = self._identity_index(rows[2])
-        if tuple(map(self.codec[1], map(gatherer(index), rows))) != self.identity_rows:
+        index, identity_rows = self._identities(rows)
+        if identity_rows != self.identity_rows:
             raise MalformedTable("composition rows disagree with the identity rows counted first")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "identity_index", index)
@@ -203,18 +206,18 @@ class Hypergroupoid:
         rows, keys = self._checked(rows)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "rows", rows)
-        index = self._identity_index(rows[2])
+        index, identity_rows = self._identities(rows)
         object.__setattr__(self, "identity_index", index)
-        object.__setattr__(self, "identity_rows",
-                           tuple(map(self.codec[1], map(gatherer(index), rows))))
+        object.__setattr__(self, "identity_rows", identity_rows)
 
     def _held(self, rows: Rows) -> Rows | None:
         """The columns of ``rows`` held as ``codec`` holds them, or None
-        if an id is negative or too wide for it.  A column of another kind
-        is read id by id: bytes(array("q", ...)) would copy its raw bytes."""
-        column, kind = self.codec[1], type(self.codec[1](()))
+        if an id is negative or too wide for it.  A column of another type
+        than ``kind``, tuple or list is read id by id: bytes(array("q",
+        ...)) would copy its raw bytes."""
+        column, whole = self.codec.column, (self.codec.kind, tuple, list)
         try:
-            return tuple(column(col if type(col) is kind else iter(col)) for col in rows)
+            return tuple(column(col if type(col) in whole else iter(col)) for col in rows)
         except (ValueError, OverflowError):
             return None
 
@@ -223,8 +226,7 @@ class Hypergroupoid:
         ``_rows_hold``; else MalformedTable naming the first fault, in row
         order, as the dict check does.  Rows out of order are the one
         fault a dict cannot have."""
-        held = self._held(rows)
-        keys = None if held is None else self._rows_hold(held)
+        keys = None if (held := self._held(rows)) is None else self._rows_hold(held)
         if keys is None:
             sets: dict[tuple[int, int], set[int]] = {}
             for b, a, c in zip(*rows):
@@ -233,9 +235,10 @@ class Hypergroupoid:
             raise MalformedTable("composition rows must strictly increase by src(b), b, a, c")
         return held, keys
 
-    def _identity_index(self, c_) -> list[int]:
-        """The places of the identity arrows in a composite column."""
-        return list(compress(range(len(c_)), self.through("unit", c_)))
+    def _identities(self, rows: Rows) -> tuple[list[int], Rows]:
+        """The places of the rows whose composite is an identity, and those rows."""
+        index = list(compress(range(len(rows[2])), self.through("unit", rows[2])))
+        return index, tuple(map(self.codec.column, map(gatherer(index), rows)))
 
     def _rows_hold(self, rows: Rows) -> list[int] | None:
         """The keys of rows held as ``codec`` holds them, if they are arrow
@@ -243,18 +246,21 @@ class Hypergroupoid:
         in strictly increasing key, with every composable pair among them;
         else None.  Whole columns at a time."""
         b_, a_, c_ = rows
-        at = self.through
+        # an id past the arrows is deleted here at width 1, and refused by
+        # itemgetter at width 2; columns of unequal lengths differ below
+        if (self.codec.width == 1
+                and (b_ + a_ + c_).translate(None, bytes(range(self.n_arrows)))):
+            return None
+        src, tgt = self.maps["src"], self.maps["tgt"]
         try:
-            # at width 1 an id past the arrows is one the translate tables
-            # do not map, at width 2 itemgetter refuses it; columns of
-            # unequal lengths differ here
-            if (self.codec[0] == 1 and (b_ + a_ + c_).translate(None, self.maps["ids"])
-                    or (at("src", b_), at("src", c_), at("tgt", c_))
-                    != (at("tgt", a_), at("src", a_), at("tgt", b_))):
-                return None
+            # one reader of each column, for both maps
+            (src_b, tgt_b), (src_a, tgt_a), (src_c, tgt_c) = (
+                (read(src), read(tgt)) for read in map(self.codec.reader, rows))
         except IndexError:
             return None
-        keys = self.pack(b_, a_, c_)
+        if (src_b, src_c, tgt_c) != (tgt_a, src_a, tgt_b):
+            return None
+        keys = self.pack(b_, a_, c_).tolist()
         if not all(map(lt, keys, islice(keys, 1, None))):
             return None
         pairs = len(c_) - self._pair_starts(b_, a_).count(0)
@@ -287,8 +293,7 @@ class Hypergroupoid:
                         raise MalformedTable(f"missing composition set for ({b},{a})")
 
     def _composable_pairs(self) -> int:
-        """The number of pairs (b, a) with src(b) = tgt(a): over the arrows
-        b, #{a | tgt(a) = src(b)}, in one pass over each column."""
+        """The number of pairs (b, a) with src(b) = tgt(a), summed over b."""
         into = [0] * self.n_units
         for u in self.tgt:
             into[u] += 1
@@ -302,41 +307,39 @@ class Hypergroupoid:
 
     @lazy
     def maps(self) -> dict[str, Sequence[int]]:
-        """The per-arrow maps src, tgt, rank (by (src(b), b)), star, unit
-        (true at an identity arrow) and ids (every arrow id, for
-        ``bytes.translate`` to delete at width 1), as ``codec`` applies them."""
-        arrows = range(self.n_arrows)
-        maps = {"src": self.src, "tgt": self.tgt, "rank": self.by_source[1], "star": self.star,
-                "unit": list(map(set(self.unit_arrow).__contains__, arrows)), "ids": arrows}
-        return {name: self.codec[2](m) for name, m in maps.items()}
+        """The per-arrow maps src, tgt, star, rank (by (src(b), b)) and unit
+        (1 at an identity arrow) by name, held as ``codec.table`` holds them."""
+        table = self.codec.table
+        unit = bytes(map(set(self.unit_arrow).__contains__, range(self.n_arrows)))
+        return {"src": table(self.src), "tgt": table(self.tgt), "star": table(self.star),
+                "rank": table(self.by_source[1]), "unit": table(unit)}
 
     def through(self, name: str, col: Sequence[int]) -> Sequence[int]:
-        """The map ``name`` of ``maps`` at each id of ``col``, held alike."""
-        return self.codec[3](col, self.maps[name])
+        """The map ``name`` at each id of ``col``: ``bytes`` at width 1, a
+        tuple at width 2."""
+        return self.codec.reader(col)(self.maps[name])
 
-    def pack(self, b_: Sequence[int], a_: Sequence[int], c_: Sequence[int]) -> list[int]:
-        """The keys of the rows (b, a, c) of three id columns held as
-        ``rows`` are: rank(b), a and c fill the fields of one key record
-        per row by strided slices, and the records are read as ints."""
-        w = self.codec[0]
-        plane = bytearray(4 * len(a_)) if w == 1 else array("H", bytes(8 * len(a_)))
-        plane[B_FIELD::4] = self.through("rank", b_)
-        plane[A_FIELD::4] = a_
-        plane[C_FIELD::4] = c_
-        return memoryview(plane).cast("B").cast("IQ"[w - 1]).tolist()
+    def pack(self, b_: Sequence[int], a_: Sequence[int], c_: Sequence[int]) -> memoryview:
+        """The keys of the rows (b, a, c) of three id columns: rank(b), a
+        and c fill the fields of one four-id record per row by strided
+        slices, and each record is read as an int when read."""
+        codec = self.codec
+        records = codec.plane(4 * len(a_))
+        records[B_FIELD::4] = codec.column(self.through("rank", b_))
+        records[A_FIELD::4] = codec.column(a_)
+        records[C_FIELD::4] = codec.column(c_)
+        return memoryview(records).cast("B").cast("IQ"[codec.width - 1])
 
     def _pair_starts(self, b_: Sequence[int], a_: Sequence[int]) -> bytes:
         """One byte per row of columns b and a, 0 where the row's pair is
         the one before's: each column XOR itself a row down (big-endian, a
-        column less its last row is one row down), ORed, the first row
-        marked, and at width 2 the two bytes of a row ORed into one."""
-        w, n = self.codec[0], len(a_)
+        column less its last row), ORed, the first row marked, and each
+        row's first byte ORed into its last, the one read (w <= 2)."""
+        w, n = self.codec.width, len(a_)
         changes = 1 << 8 * w * n >> 8 * w  # the first row, the top id, starts a pair
         for col in (b_, a_):
             changes |= int.from_bytes(col, "big") ^ int.from_bytes(col[:-1], "big")
-        diff = changes.to_bytes(w * n, "big")
-        return diff if w == 1 else (int.from_bytes(diff[::2], "big")
-                                    | int.from_bytes(diff[1::2], "big")).to_bytes(n, "big")
+        return (changes | changes >> 8 * w - 8).to_bytes(w * n, "big")[w - 1::w]
 
     @lazy
     def keys(self) -> list[int]:
@@ -400,7 +403,7 @@ class Hypergroupoid:
         where its values sit too: empty for a non-composable pair, and
         IndexError past the arrows.  Their keys (rank(b), a, c), 0 <= c < n,
         are one run of the increasing ``keys``: two bisections find it."""
-        shift, keys = 8 * self.codec[0], self.keys
+        shift, keys = 8 * self.codec.width, self.keys
         key = (self.by_source[1][b] << shift | range(self.n_arrows)[a]) << shift
         return range(bisect_left(keys, key), bisect_left(keys, key + self.n_arrows))
 

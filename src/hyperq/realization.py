@@ -474,7 +474,7 @@ def _pair_rows(membership, n, reps, by_source, arrows=None):
         values += counts.values()
         cs += repeat(c, len(counts))
     at = gatherer(sorted(range(len(keys)), key=keys.__getitem__))
-    column = column_codec(k)[1]
+    column = column_codec(k).column
     if 4 * len(keys) < k * k:
         # a few rows, such as the identity rows: each key is divided out
         ranks, a_ = zip(*map(divmod, at(keys), repeat(k))) if keys else ((), ())

@@ -10,7 +10,9 @@ must name every fault as it did then, at both widths and with and
 without ``python -O``, and take rows in any sequence of ints.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -21,6 +23,7 @@ from array import array
 import pytest
 
 from conftest import DATA
+from hyperq import cli
 from hyperq.errors import MalformedTable
 from hyperq.hypergroupoid import Hypergroupoid
 from hyperq.io import load_input
@@ -85,6 +88,23 @@ def test_more_than_65536_arrows_are_refused():
     with pytest.raises(MalformedTable) as info:
         _loops(65537)
     assert str(info.value) == "a table holds at most 65536 arrows, not 65537"
+
+
+ARGS = {"evolve": ("--t", "1", "--element", "[a0]")}
+
+
+@pytest.mark.parametrize("command", ["atoms", "kms", "evolve"])
+def test_an_action_past_65536_arrows_is_refused_by_every_command(command, tmp_path):
+    # the trivial group on 257 points has 66049 arrows; these commands read
+    # only the identity rows, and refuse the action all the same, exit 2
+    # with nothing written
+    path = tmp_path / "free257.json"
+    path.write_text(_input_text(257))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), *ARGS.get(command, ())])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", "error: a table holds at most 65536 arrows, not 66049\n")
 
 
 def _edits(H):
