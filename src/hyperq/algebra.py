@@ -73,7 +73,9 @@ class WeightedHypergroupoid:
 
     def _built_values(self) -> Sequence[ExtNat]:
         values = _checked_values(self.base, self._build())
-        return identity_checked(self.base, values, self.identity_values)
+        if gatherer(self.base.identity_index)(values) != self.identity_values:
+            raise MalformedTable("mu values disagree with the identity values counted first")
+        return values
 
     values: Sequence[ExtNat] = field(default=lazy(_built_values), repr=False)
     left: tuple[ExtNat, ...]
@@ -125,15 +127,6 @@ def _checked_values(H: Hypergroupoid, values: Sequence[ExtNat]) -> Sequence[ExtN
     if len(values) != len(H.rows[2]):
         raise MalformedTable("mu must have one value per composition row")
     _check_values(values)
-    return values
-
-
-def identity_checked(H: Hypergroupoid, values: Sequence[ExtNat],
-                     identity_values: tuple[ExtNat, ...]) -> Sequence[ExtNat]:
-    """A value column of H that takes ``identity_values`` at the identity
-    rows; MalformedTable if it does not."""
-    if gatherer(H.identity_index)(values) != identity_values:
-        raise MalformedTable("mu values disagree with the identity values counted first")
     return values
 
 
@@ -252,8 +245,10 @@ def is_locally_finite(W: WeightedHypergroupoid) -> bool:
 # the convolution product
 
 
-def mul(W: WeightedHypergroupoid, u: Element, v: Element) -> Element:
-    """Convolution product, bilinear over the basis products."""
+def _bilinear(W: WeightedHypergroupoid, u: Element, v: Element, finite: bool) -> Element:
+    """The sum of u(g) v(g') <a|g,g'> [a] over the basis products [g] [g'],
+    zero coefficients skipped and zero sums dropped; with ``finite`` an
+    infinite <a|g,g'> raises InfiniteCoefficient."""
     H, values = W.base, W.values
     c_ = H.rows[2]
     acc: dict[int, object] = {}
@@ -266,11 +261,16 @@ def mul(W: WeightedHypergroupoid, u: Element, v: Element) -> Element:
             c = cg * cp
             for i in H.pair(g, gp):
                 a, m = c_[i], values[i]
-                if m is INF:
+                if finite and m is INF:
                     raise InfiniteCoefficient(
                         f"<{a}|{g},{gp}> is infinite; coefficient would diverge")
                 acc[a] = acc.get(a, 0) + c * m
     return {a: c for a, c in acc.items() if c != 0}
+
+
+def mul(W: WeightedHypergroupoid, u: Element, v: Element) -> Element:
+    """Convolution product, bilinear over the basis products."""
+    return _bilinear(W, u, v, finite=True)
 
 
 def chi(W: WeightedHypergroupoid, g: int) -> Fraction:
@@ -388,21 +388,9 @@ def convolve_ext(W: WeightedHypergroupoid, f: dict[int, ExtNat], h: dict[int, Ex
     """Convolution of extended natural valued functions,
     (f * h)(a) = sum over (g, g') of f(g) h(g') <a|g,g'>, with the
     convention 0 * INF = 0."""
-    H, values = W.base, W.values
-    c_ = H.rows[2]
     for v in list(f.values()) + list(h.values()):
         check_extnat(v)
-    acc: dict[int, ExtNat] = {}
-    for g, fg in f.items():
-        if fg == 0:
-            continue
-        for gp, hg in h.items():
-            if hg == 0:
-                continue
-            w = fg * hg
-            for i in H.pair(g, gp):
-                acc[c_[i]] = acc.get(c_[i], 0) + w * values[i]
-    return {a: v for a, v in acc.items() if v != 0}
+    return _bilinear(W, f, h, finite=False)
 
 
 # ---------------------------------------------------------------------------

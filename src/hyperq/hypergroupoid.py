@@ -40,7 +40,7 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress, islice, repeat
 from operator import attrgetter, gt, lt, or_, sub
 
@@ -103,22 +103,12 @@ def source_order(src: Sequence[int]) -> tuple[list[int], list[int]]:
     return order, sorted(range(len(src)), key=order.__getitem__)
 
 
-def pair_sets(c_: Sequence[int], starts: Sequence[int], n_arrows: int) -> tuple[frozenset[int], ...]:
-    """The composition set of each pair of rows, in row order, from the
-    composite column and the first row of each pair; equal sets are one
-    frozenset."""
-    single = [frozenset((c,)) for c in range(n_arrows)]
-    if len(starts) == len(c_):
-        return gatherer(c_)(single)
-    # each pair first takes the singleton of its first row; only the pairs
-    # of two or more rows are then read whole
-    sets = list(gatherer(gatherer(starts)(c_))(single))
-    ends = [*starts[1:], len(c_)]
-    shared: dict[tuple[int, ...], frozenset[int]] = {}
-    for i in compress(range(len(starts)), map(gt, map(sub, ends, starts), repeat(1))):
-        cs = tuple(c_[starts[i]:ends[i]])
-        sets[i] = shared.get(cs) or shared.setdefault(cs, frozenset(cs))
-    return tuple(sets)
+def unpack(codec: Codec, keys: Sequence[int]) -> Rows:
+    """The columns (rank(b), a, c) of row keys, held as ``codec`` holds
+    them: the keys are laid out as ``Hypergroupoid.pack`` records, and
+    each field is one strided slice."""
+    records = codec.column(array("IQ"[codec.width - 1], keys).tobytes())
+    return records[B_FIELD::4], records[A_FIELD::4], records[C_FIELD::4]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -381,11 +371,22 @@ class Hypergroupoid:
         for b in self.by_source[0]:
             block[b] = k
             k += into[self.src[b]]
+        c_ = self.rows[2]
+        single = [frozenset((c,)) for c in range(self.n_arrows)]
         # k is the number of pairs: with one row each, the pair starts
         # are not read
-        c_ = self.rows[2]
-        starts = range(k) if k == len(c_) else self.pair_starts
-        return pair_sets(c_, starts, self.n_arrows), block, pos
+        if k == len(c_):
+            return gatherer(c_)(single), block, pos
+        # each pair first takes the singleton of its first row; only the
+        # pairs of two or more rows are then read whole
+        starts = self.pair_starts
+        sets = list(gatherer(gatherer(starts)(c_))(single))
+        ends = [*starts[1:], len(c_)]
+        shared: dict[tuple[int, ...], frozenset[int]] = {}
+        for i in compress(range(k), map(gt, map(sub, ends, starts), repeat(1))):
+            cs = tuple(c_[starts[i]:ends[i]])
+            sets[i] = shared.get(cs) or shared.setdefault(cs, frozenset(cs))
+        return tuple(sets), block, pos
 
     @property
     def n_units(self) -> int:
@@ -401,23 +402,26 @@ class Hypergroupoid:
     def pair(self, b: int, a: int) -> range:
         """The places in ``rows`` of the rows of (b, a), one per composite,
         where its values sit too: empty for a non-composable pair, and
-        IndexError past the arrows.  Their keys (rank(b), a, c), 0 <= c < n,
-        are one run of the increasing ``keys``: two bisections find it."""
-        shift, keys = 8 * self.codec.width, self.keys
-        key = (self.by_source[1][b] << shift | range(self.n_arrows)[a]) << shift
-        return range(bisect_left(keys, key), bisect_left(keys, key + self.n_arrows))
+        IndexError for an id outside the arrows.  Their keys (rank(b), a,
+        c), 0 <= c < n, are one run of the increasing ``keys``: two
+        bisections find it."""
+        n, shift, keys = self.n_arrows, 8 * self.codec.width, self.keys
+        if not (0 <= b < n and 0 <= a < n):
+            raise IndexError(f"({b},{a}) is not a pair of arrow ids")
+        key = (self.by_source[1][b] << shift | a) << shift
+        return range(bisect_left(keys, key), bisect_left(keys, key + n))
 
     def compose(self, b: int, a: int) -> frozenset[int]:
         """Composition set, empty for non-composable pairs."""
         places = self.pair(b, a)
         return frozenset(self.rows[2][places.start:places.stop])
 
-    @cached_property
+    @lazy
     def simple_arrows(self) -> tuple[int, ...]:
         """The simple arrows (see ``is_simple``), in id order."""
         return tuple(g for g in range(self.n_arrows) if is_simple(self, g))
 
-    @cached_property
+    @lazy
     def semisimple_factorization(self) -> tuple[bool, dict[int, tuple[int, int]]]:
         """(flag, witness) of ``is_semisimple``; callers must not mutate
         the shared witness."""

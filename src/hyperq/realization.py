@@ -37,10 +37,11 @@ coherent configuration formed by the pair orbits (D. G. Higman,
 *Coherent configurations*, 1975).  The orbit labels live in one flat
 list indexed x*n + y, and the constants are read off as one histogram
 per arrow a: scanning t along the row of x and the column of y yields
-every pair (g, g') whose composite meets a, with its count.  The counts
-are kept as flat columns, the hypergroupoid's rows (g, g', a) and a
-value column beside them, the one form of the table.  Left and right
-weights of an arrow are its column and row counts:
+every pair (g, g') whose composite meets a, with its count.  Each count
+is keyed as ``Hypergroupoid.pack`` keys the row (g, g', a), so one sort
+orders the rows and ``unpack`` reads their id columns back; the counts
+form a value column beside them, the one form of the table.  Left and
+right weights of an arrow are its column and row counts:
 
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
@@ -50,9 +51,9 @@ is an identity arrow.  So ``orbit_atoms`` counts those rows alone, at
 the representatives (x0, x0) of the identity arrows: n middle points per
 unit rather than per arrow.  The whole table is counted when its rows or
 values are first read, and checked there; its identity rows and values
-must be the ones counted first.  ``weights`` returns the realization's
-value column, not a copy and only when read, with the left/right
-vectors as a weighted hypergroupoid ready for the convolution algebra.
+must be the ones counted first.  ``weights`` returns the left/right
+vectors as a weighted hypergroupoid ready for the convolution algebra,
+the one holder of the value column, which it counts only when read.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from functools import cache
 from operator import add
 
-from .algebra import WeightedHypergroupoid, derived_weights, identity_checked
+from .algebra import WeightedHypergroupoid, derived_weights
 from .errors import HyperqError, OrderBoundExceeded
-from .hypergroupoid import Hypergroupoid, Rows, column_codec, gatherer, lazy, source_order
+from .hypergroupoid import Hypergroupoid, Rows, column_codec, gatherer, source_order, unpack
 
 Perm = tuple[int, ...]
 
@@ -286,9 +287,8 @@ class ConcreteRealization:
     (x, y); representative[g] is the least pair of orbit g in
     lexicographic order; identity_values[i] is <e | b, a> for row
     i = (b, a, e) of the hypergroupoid's identity rows.  ``table``
-    counts the whole table, rows and values, once.  values[i] is
-    <c | b, a> for row i = (b, a, c) of the hypergroupoid's rows, built
-    on first access, with the rows."""
+    counts the whole table once: the hypergroupoid's rows (b, a, c) and
+    the values <c | b, a> beside them, which ``weights`` holds."""
 
     action: PermAction
     hypergroupoid: Hypergroupoid
@@ -299,11 +299,6 @@ class ConcreteRealization:
     orbit_size: tuple[int, ...]
     identity_values: tuple[int, ...] = field(repr=False)
     table: Callable[[], tuple[Rows, tuple[int, ...]]] = field(repr=False)
-
-    @lazy
-    def values(self) -> tuple[int, ...]:
-        # counts, one per row by construction
-        return identity_checked(self.hypergroupoid, self.table()[1], self.identity_values)
 
     @property
     def n_points(self) -> int:
@@ -411,13 +406,8 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     by_source = source_order(src)
     identity_rows, identity_values = _pair_rows(
         membership, n, reps, by_source, sorted(unit_arrow))
-    counted = []
-
-    def table():
-        # the whole table, rows and values, counted on the first call
-        if not counted:
-            counted.append(_pair_rows(membership, n, reps, by_source))
-        return counted[0]
+    # the whole table, rows and values, counted on the first call
+    table = cache(lambda: _pair_rows(membership, n, reps, by_source))
 
     H = Hypergroupoid(
         unit_names=tuple(f"u{k}" for k in range(len(unit_points))),
@@ -452,38 +442,30 @@ def _pair_rows(membership, n, reps, by_source, arrows=None):
     the number of t giving (b, a) is <c | b, a>, the intersection number
     p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
     configurations*, 1975).  Each arrow's pairs are counted by one
-    ``Counter`` over the integer keys rank(b)*k + a, where b is ranked by
-    (src[b], b), as ``by_source`` = ``source_order(src)`` ranks it, and its
-    keys, counts and c extend three flat columns.  One stable sort by key
-    then orders the rows by src[b], b, a and, as arrows are taken in
-    increasing c, c.  Returns the rows (b, a, c), id columns held as
-    ``column_codec(k)`` holds them, and the value column <c | b, a>."""
-    k = len(reps)
+    ``Counter`` over rank(b) << s | a, s the bits of an id, where b is
+    ranked by (src[b], b), as ``by_source`` = ``source_order(src)`` ranks
+    it.  Shifted once more and ORed with c, each counted pair is the row
+    key that ``Hypergroupoid.pack`` gives (b, a, c).  One sort of the keys
+    orders the rows by src[b], b, a and c, and ``unpack`` reads rank(b),
+    a and c back off them.  Returns the rows (b, a, c), id columns held
+    as ``column_codec(k)`` holds them, and the value column <c | b, a>."""
     order, rank = by_source
+    codec = column_codec(len(reps))
+    shift = 8 * codec.width
     rows: dict[int, list[int]] = {}
     keys: list[int] = []
-    cs: list[int] = []
     values: list[int] = []
-    for c in range(k) if arrows is None else arrows:
+    for c in range(len(reps)) if arrows is None else arrows:
         x, y = reps[c]
         row = rows.get(x)
         if row is None:
-            row = rows[x] = [rank[b] * k for b in membership[x * n:(x + 1) * n]]
+            row = rows[x] = [rank[b] << shift for b in membership[x * n:(x + 1) * n]]
         counts = Counter(map(add, row, membership[y::n]))
-        keys += counts
+        keys += [pair << shift | c for pair in counts]
         values += counts.values()
-        cs += repeat(c, len(counts))
     at = gatherer(sorted(range(len(keys)), key=keys.__getitem__))
-    column = column_codec(k).column
-    if 4 * len(keys) < k * k:
-        # a few rows, such as the identity rows: each key is divided out
-        ranks, a_ = zip(*map(divmod, at(keys), repeat(k))) if keys else ((), ())
-        return (column(gatherer(ranks)(order)), column(a_), column(at(cs))), at(values)
-    # the b and a of each key rank(b)*k + a, looked up in lists of all k*k
-    at_key = gatherer(at(keys))
-    b_of = list(chain.from_iterable(map(repeat, order, repeat(k))))
-    a_of = list(range(k)) * k
-    return (column(at_key(b_of)), column(at_key(a_of)), column(at(cs))), at(values)
+    ranks, a_, c_ = unpack(codec, at(keys))
+    return (codec.column(codec.reader(ranks)(codec.table(order))), a_, c_), at(values)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +495,9 @@ def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = 
 
 def weights(real: ConcreteRealization) -> WeightedHypergroupoid:
     """The realized table with the weights read off its identity rows.
-    Its values are the realization's value column, not a copy, and are
-    built only when read."""
+    Its values are the value column that ``real.table`` counts, not a
+    copy, and are counted and checked only when read."""
     left, right = derived_weights(real.hypergroupoid, real.identity_values)
     return WeightedHypergroupoid(
         base=real.hypergroupoid, left=left, right=right,
-        build=lambda: real.values, identity_values=real.identity_values)
+        build=lambda: real.table()[1], identity_values=real.identity_values)

@@ -24,10 +24,11 @@ import pytest
 
 from conftest import DATA
 from hyperq import cli
+from hyperq.algebra import convolve_ext, mul
 from hyperq.errors import MalformedTable
-from hyperq.hypergroupoid import Hypergroupoid
+from hyperq.hypergroupoid import Hypergroupoid, unpack
 from hyperq.io import load_input
-from hyperq.realization import PermAction, orbit_atoms
+from hyperq.realization import PermAction, orbit_atoms, weights
 from test_ladder_golden import _run
 
 SHA256 = {
@@ -220,3 +221,39 @@ def test_pair_refuses_an_id_past_the_arrows(held, name):
             H.pair(b, bad)
         with pytest.raises(IndexError):
             H.pair(bad, a)
+
+
+@pytest.mark.parametrize("name", ["s3_mixed", "free16", "free17"])
+def test_pair_refuses_a_negative_id(held, name):
+    # a negative id must not wrap round to the last arrows
+    H = held[name]
+    b, a, _ = (col[len(col) // 2] for col in H.rows)
+    for bad in (-1, -H.n_arrows):
+        for call in (H.pair, H.compose):
+            with pytest.raises(IndexError):
+                call(b, bad)
+            with pytest.raises(IndexError):
+                call(bad, a)
+
+
+def test_products_refuse_a_negative_id():
+    real = orbit_atoms(load_input(DATA / "s3_mixed.json")[0].action)
+    W = weights(real)
+    assert real.hypergroupoid.compose(6, 13) == {7, 8}
+    assert mul(W, {6: 1}, {13: 1}) == convolve_ext(W, {6: 1}, {13: 1}) == {7: 1, 8: 1}
+    for product in (mul, convolve_ext):
+        for u, v in (({6: 1}, {-1: 1}), ({-1: 1}, {6: 1})):
+            with pytest.raises(IndexError):
+                product(W, u, v)
+
+
+@pytest.mark.parametrize("name", ["s3_mixed", "free16", "free17"])
+def test_unpack_inverts_pack(held, name):
+    H = held[name]
+    b_, a_, c_ = H.rows
+    columns = unpack(H.codec, H.pack(b_, a_, c_))
+    rank = H.by_source[1]
+    assert [list(col) for col in columns] == [[rank[b] for b in b_], list(a_), list(c_)]
+    assert {type(col) for col in columns} == {H.codec.kind}
+    if H.codec.kind is array:
+        assert {col.typecode for col in columns} == {"H"}

@@ -225,6 +225,15 @@ def test_rows_and_dict_give_one_table(all_realized):
         assert comp_dict(dataclasses.replace(H, rows=H.rows)) == comp_dict(H)
 
 
+def test_the_pair_starts_are_read_only_where_a_pair_has_two_rows():
+    # the regular action has one composite per pair, the mixed one not
+    for path, read in (("s3_regular.json", False), ("s3_mixed.json", True)):
+        H = orbit_atoms(load_input(DATA / path)[0].action).hypergroupoid
+        sets = H.pair_table[0]
+        assert ("pair_starts" in vars(H)) is read, path
+        assert sets == tuple(comp_dict(H).values()), path
+
+
 def test_composition_star_reversal(all_realized):
     # comp(b, a)* = comp(a*, b*) elementwise
     for real in all_realized.values():

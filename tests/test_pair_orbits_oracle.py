@@ -32,6 +32,7 @@ from hyperq.realization import (
     identity_perm,
     orbit_atoms,
     perm_mul,
+    weights,
 )
 from table_dicts import comp_dict, mu_dict
 
@@ -75,7 +76,7 @@ def _assert_same_as_walk(action: PermAction):
     walked = Hypergroupoid(H.unit_names, H.arrow_names, H.src, H.tgt, H.star, H.unit_arrow,
                            rows=rows)
     mu, comp = mu_dict(walked, values), comp_dict(walked)
-    assert list(mu_dict(H, real.values).items()) == list(mu.items())
+    assert list(mu_dict(H, weights(real).values).items()) == list(mu.items())
     assert list(comp_dict(H).items()) == list(comp.items())
 
 

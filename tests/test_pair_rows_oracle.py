@@ -2,7 +2,7 @@
 
 ``orbit_atoms`` keeps the structure constants as parallel columns (the
 rows (b, a, c) of the hypergroupoid and the value column of the
-realization).  The oracle here is the builder that wrote the comp and mu
+weighted table).  The oracle here is the builder that wrote the comp and mu
 dicts directly: one ``Counter`` per arrow over the keys rank(b)*k + a,
 the first composite and count of each key in two flat lists, the further
 ones in ``more``, and one sweep in key order.  On the corpus of
@@ -127,7 +127,7 @@ def test_views_equal_the_dict_builder(name):
     mu, comp = dict_pair_products(real.membership, real.n_points, real.representative, src)
     W = weights(real)
     # equal dicts with equal item order
-    assert list(mu_dict(H, real.values).items()) == list(mu.items())
+    assert list(mu_dict(H, W.values).items()) == list(mu.items())
     assert list(W.mu.items()) == list(mu.items())
     assert list(comp_dict(H).items()) == list(comp.items())
     # equal composition sets are one object, as in the oracle
@@ -154,7 +154,7 @@ def test_identity_rows_are_counted_apart_in_table_order(name):
     real = orbit_atoms(CORPUS[name])
     H, W = real.hypergroupoid, weights(real)
     assert not {"rows", "keys"} & vars(H).keys()
-    assert "values" not in vars(real) and "values" not in vars(W)
+    assert "values" not in vars(W) and real.table.cache_info().currsize == 0
     src = tuple(real.point_orbit[y] for _, y in real.representative)
     mu, _ = dict_pair_products(real.membership, real.n_points, real.representative, src)
     units = set(H.unit_arrow)
@@ -164,8 +164,8 @@ def test_identity_rows_are_counted_apart_in_table_order(name):
     at = [i for i, c in enumerate(H.rows[2]) if c in units]
     assert H.identity_index == at
     assert tuple(map(tuple, H.identity_rows)) == tuple(tuple(col[i] for i in at) for col in H.rows)
-    assert real.identity_values == tuple(real.values[i] for i in at)
-    assert W.values is real.values
+    assert real.identity_values == tuple(W.values[i] for i in at)
+    assert W.values is real.table()[1]
 
 
 def _built(monkeypatch, argv):
@@ -184,11 +184,10 @@ def _built(monkeypatch, argv):
     monkeypatch.setattr(cli, "weights", record(weights))
     code = cli.main(argv)
     real, W = made
-    parts = (("rows", W.base, "rows"), ("real.values", real, "values"),
-             ("W.values", W, "values"), ("W.mu", W, "mu"))
+    parts = (("rows", W.base, "rows"), ("W.values", W, "values"), ("W.mu", W, "mu"))
     built = {name for name, obj, attr in parts if attr in vars(obj)}
     # read after the call, which builds the table if the call did not
-    assert W.base is real.hypergroupoid and W.values is real.values
+    assert W.base is real.hypergroupoid and W.values is real.table()[1]
     return code, built
 
 
@@ -223,7 +222,7 @@ def test_atoms_kms_and_evolve_build_no_table_at_s6_regular(tmp_path, monkeypatch
 def test_algebra_check_site_and_convolve_build_the_table(monkeypatch, capsys):
     path = str(DATA / "s3_cosets.json")
     # each reads the table's columns and none builds the mu dict
-    table = {"rows", "real.values", "W.values"}
+    table = {"rows", "W.values"}
     assert _built(monkeypatch, ["algebra", path]) == (0, table)
     assert _built(monkeypatch, ["algebra", path, "--format", "json"]) == (0, table)
     assert _built(monkeypatch, ["check", path]) == (0, table)

@@ -271,7 +271,7 @@ def test_product_table_matches_per_triple_counts(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
         composites: dict[tuple[int, int], set[int]] = {}
-        for (c, b, a), v in mu_dict(H, real.values).items():
+        for (c, b, a), v in mu_dict(H, weights(real).values).items():
             composites.setdefault((b, a), set()).add(c)
             assert v == count_mu(real, c, b, a)
             assert v >= 1
@@ -339,7 +339,7 @@ def _assert_incidence_identity(real):
     n, k = real.n_points, real.n_arrows
     orbit_size = np.bincount(m.ravel(), minlength=k)
     by_b: dict[int, list[tuple[int, int, int]]] = {}
-    for (c, b, a), v in mu_dict(real.hypergroupoid, real.values).items():
+    for (c, b, a), v in mu_dict(real.hypergroupoid, weights(real).values).items():
         by_b.setdefault(b, []).append((c, a, v))
     for b in range(k):
         xs, ts = np.nonzero(m == b)
@@ -359,7 +359,7 @@ def _assert_incidence_identity(real):
 def test_products_match_integer_incidence_products(oracle_realizations):
     for name, real in oracle_realizations.items():
         _assert_incidence_identity(real)
-        assert all(real.values), name
+        assert all(weights(real).values), name
         assert all(comp_dict(real.hypergroupoid).values()), name
 
 
@@ -375,7 +375,7 @@ def _assert_matches_numpy_oracle(real):
     mu, comp = pair_products(membership, reps, src, len(reps))
     # equal dicts with equal item order, so key order is included
     H = real.hypergroupoid
-    assert list(mu_dict(H, real.values).items()) == list(mu.items())
+    assert list(mu_dict(H, weights(real).values).items()) == list(mu.items())
     assert list(comp_dict(H).items()) == list(comp.items())
 
 
@@ -396,7 +396,7 @@ def test_products_key_order(oracle_realizations):
         assert keys == sorted(keys, key=lambda p: (src[p[0]], p[0], p[1])), name
         # mu lists the same pairs in the same order, each pair's
         # composites increasing
-        triples = list(mu_dict(real.hypergroupoid, real.values))
+        triples = list(mu_dict(real.hypergroupoid, weights(real).values))
         assert triples == sorted(triples, key=lambda t: (src[t[1]], t[1], t[2], t[0])), name
 
 
@@ -420,7 +420,7 @@ def test_counts_are_representative_independent(all_realized):
     for real in all_realized.values():
         H = real.hypergroupoid
         m = membership_matrix(real)
-        for (c, b, a), v in mu_dict(H, real.values).items():
+        for (c, b, a), v in mu_dict(H, weights(real).values).items():
             pts = np.argwhere(m == c)
             for x, y in pts:
                 row = m[x, :] == b
