@@ -12,8 +12,12 @@ relations
 matches "apply a, then b".
 
 A coset input's points are the cosets gK in order of least member in
-G's breadth-first listing, which holds g as the bytes of g^-1 up to
-degree 256: a step g -> g s is then one ``bytes.translate``.  The pair
+G's breadth-first listing, found without listing G: from K, a layer at
+a time, by each generator s in turn and then the last layer's points in
+order.  Both orders are the shortlex order of each coset's least word
+s_1...s_k, first letter most significant, and the walk first reaches a
+coset C by its least first letter s, from s^-1 C.  A coset is named by
+its least element, read down a stabilizer chain of K.  The pair
 orbits meeting row x0, the least point of a point orbit O, are the
 orbits of the stabilizer G_x0 on the points.  On a coset space G/K the
 least point is the coset K itself, so G_x0 = K and its generators are
@@ -23,7 +27,7 @@ them read by Schreier's lemma off a breadth-first Schreier tree of O
 groups*, 1970).  That row is labelled once, by least point; in either
 case one breadth-first walk of O from x0 writes each other row, row(s x)
 being row(x) read through s^-1, so no element is held per point of O
-and a coset input builds no Schreier tree.  So arrow ids follow
+and a coset input needs no Schreier search.  So arrow ids follow
 the row-major order of least pairs, and each arrow's stored
 representative is its lexicographically least pair (x0, least point of
 its suborbit).
@@ -62,6 +66,7 @@ from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import accumulate
 from operator import add
 
 from .algebra import WeightedHypergroupoid, derived_weights
@@ -107,38 +112,37 @@ def _check_perm(p, degree: int):
         raise ValueError(f"not a permutation of degree {degree}: {p!r}")
 
 
+@cache
 def _codec(degree: int):
-    """(encode, table, compose): how an element g is held while a group is
-    listed, with compose(encode(g), table(encode(s))) == encode(g s).  Up
-    to degree 256 encode(g) is the bytes of g^-1, and encode(g s) = s^-1
-    g^-1 is one ``bytes.translate``; above, the tuple g and one
-    ``itemgetter`` call.  tuple(encode(y)) is the element held as y."""
+    """(seq, table, compose): an element p held as seq(p), its images p(0),
+    p(1), ... as bytes up to degree 256 and as a tuple above, with
+    compose(seq(p), table(seq(q))) == seq(q p), one ``bytes.translate``."""
     if degree <= 256:
         pad = bytes(range(degree, 256))
-        return (lambda p: bytes(perm_inv(p))), (lambda y: y + pad), bytes.translate
-    return tuple, gatherer, lambda y, t: t(y)
+        return bytes, (lambda y: y + pad), bytes.translate
+    return tuple, (lambda y: y.__getitem__), (lambda y, t: tuple(map(t, y)))
 
 
 def _bfs(generators, degree: int, order_bound: int, codec) -> dict:
-    """The generated group, held as ``codec`` holds it, each element mapped
-    to its place breadth-first from the identity by generators in order."""
-    encode, table, compose = codec
-    steps = [table(encode(s)) for s in generators]
-    index = {encode(range(degree)): 0}
-    add = index.setdefault
-    n = 1
+    """The generated group, each element g held as seq(g^-1) and mapped to
+    its place breadth-first from the identity by generators in order: the
+    step g -> g s is then s^-1 g^-1, one compose."""
+    seq, table, compose = codec
+    steps = [table(seq(perm_inv(s))) for s in generators]
+    return _close({seq(range(degree)): 0}, steps, compose, order_bound)
+
+
+def _close(index: dict, steps, compose, order_bound: int = GROUP_ORDER_BOUND) -> dict:
+    """Close ``index``, a group mapping its elements to their places,
+    under the steps' elements, placing each new one last as it is met."""
     frontier = list(index)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for t in steps:
-                y = compose(x, t)
-                if add(y, n) == n:
-                    n += 1
-                    if n > order_bound:
-                        raise OrderBoundExceeded(f"group order exceeds bound {order_bound}")
-                    nxt.append(y)
-        frontier = nxt
+    for x in frontier:
+        for t in steps:
+            if (y := compose(x, t)) not in index:
+                index[y] = len(index)
+                if len(index) > order_bound:
+                    raise OrderBoundExceeded(f"group order exceeds bound {order_bound}")
+                frontier.append(y)
     return index
 
 
@@ -149,8 +153,8 @@ def enumerate_group(
 ) -> list[Perm]:
     """All elements of the generated group, breadth-first from the identity
     multiplying by generators in input order.  The returned order is the
-    deterministic BFS discovery order, the order ``coset_union_action``
-    lists the group in."""
+    deterministic BFS discovery order, in which ``coset_union_action``
+    orders the cosets by least member without listing the group."""
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
@@ -158,8 +162,7 @@ def enumerate_group(
         degree = len(gens[0])
     for g in gens:
         _check_perm(g, degree)
-    codec = _codec(degree)
-    return [tuple(codec[0](y)) for y in _bfs(gens, degree, order_bound, codec)]
+    return list(map(perm_inv, _bfs(gens, degree, order_bound, _codec(degree))))
 
 
 # ---------------------------------------------------------------------------
@@ -236,43 +239,80 @@ def disjoint_union(actions) -> PermAction:
 
 
 def coset_union_action(spec: CosetSpec) -> PermAction:
-    """Disjoint union of the coset actions of every listed subgroup; the
-    group and its index are built once for all of them.
-
-    The group is listed once, breadth-first from the identity as
-    ``enumerate_group`` lists it, into one dict that is both its seen-set
-    and its index.  In that order each element g not yet placed opens
-    the next point gK, so points come in order of least member, the
+    """Disjoint union of the coset actions of every listed subgroup.  The
     least point of G/K is K, and its stabilizer is K: the action carries
     the images of K's generators as that orbit's stabilizer."""
-    codec = encode, table, compose = _codec(spec.degree)
-    index = _bfs(spec.group_generators, spec.degree, GROUP_ORDER_BOUND, codec)
-    # per point gK of the union: the table of g, its least member, and the
-    # point each element lies in, in the coset space of gK
-    tables, labels = [], []
-    for name, k_gens in spec.subgroups:
-        for g in k_gens:
-            if encode(g) not in index:
-                raise ValueError(f"subgroup {name!r} generator outside the group")
-        # K's keys are its elements encoded: their tables step by every k in K
-        k_tables = list(map(table, _bfs(k_gens, spec.degree, GROUP_ORDER_BOUND, codec)))
-        label = [-1] * len(index)
-        for i, g in enumerate(index):
-            if label[i] < 0:
-                for t in k_tables:
-                    label[index[compose(g, t)]] = len(tables)
-                tables.append(table(g))
-                labels.append(label)
+    codec = seq, table, compose = _codec(spec.degree)
+    steps = [table(seq(s)) for s in spec.group_generators]
+    spaces = [_coset_walk(spec, name, k_gens, codec, steps) for name, k_gens in spec.subgroups]
+    offsets = list(accumulate((len(reps) for reps, *_ in spaces), initial=0))
 
     def image(h) -> Perm:
         # left multiplication h(gK) = (hg)K, on every point
-        h = encode(h)
-        return tuple([label[index[compose(h, t)]] for t, label in zip(tables, labels)])
+        t = table(seq(h))
+        return tuple([offset + index[least(compose(r, t))]
+                      for offset, (reps, index, least, _) in zip(offsets, spaces) for r in reps])
 
-    action = PermAction(len(tables), tuple(map(image, spec.group_generators)))
+    action = PermAction(offsets[-1], tuple(
+        tuple([offset + j for offset, (*_, images) in zip(offsets, spaces) for j in images[s]])
+        for s in range(len(steps))))
     object.__setattr__(action, "stabilizers",
                        tuple(tuple(map(image, k_gens)) for _, k_gens in spec.subgroups))
     return action
+
+
+def _coset_walk(spec: CosetSpec, name: str, k_gens, codec, steps):
+    """The left cosets of K, walked from K by the steps' tables, each
+    named by its least element.  The Schreier elements t_j^-1 s t_i off
+    the walk's tree generate K's meet with G, which must be K.  Returns
+    each point's representative t_i, the point of each name, the name of
+    yK and each step's image of the points."""
+    seq, table, compose = codec
+    refused = f"subgroup {name!r} generator outside the group"
+    try:
+        elements = list(_bfs(k_gens, spec.degree, GROUP_ORDER_BOUND, codec))
+    except OrderBoundExceeded:
+        # K too large to list: G is listed to tell which refusal fires first
+        _bfs(spec.group_generators, spec.degree, GROUP_ORDER_BOUND, codec)
+        raise ValueError(refused) from None
+    # a chain of K, listed as inverses (the same set): b is the least point a level moves
+    chain, level, b = [], elements, 0
+    while len(level) > 1:
+        while all(k[b] == b for k in level):
+            b += 1
+        transversal = {k[b]: k for k in level}
+        chain.append((seq(list(transversal)), list(transversal.values())))
+        level = [k for k in level if k[b] == b]
+
+    def least(y):
+        # y u, u taking b where y is least; positions below b are fixed
+        for orbit, transversal in chain:
+            t = table(y)
+            image = compose(orbit, t)
+            y = compose(transversal[image.index(min(image))], t)
+        return y
+
+    reps, n, layer = [e := seq(range(spec.degree))], 1, range(1)
+    index, images, meet, meet_steps = {e: 0}, [[] for _ in steps], {e: 0}, []
+    while layer:
+        for t, image in zip(steps, images):
+            for i in layer:
+                y = compose(reps[i], t)
+                j = index.setdefault(least(y), n)
+                if j == n:
+                    reps.append(y)
+                    n += 1
+                elif len(meet) < len(elements) and (   # an edge off the walk's tree
+                        h := compose(y, table(seq(perm_inv(reps[j]))))) not in meet:
+                    meet_steps.append(table(h))
+                    _close(meet, meet_steps, compose)
+                image.append(j)
+            if n * len(meet) > GROUP_ORDER_BOUND:   # at most |G|
+                raise OrderBoundExceeded(f"group order exceeds bound {GROUP_ORDER_BOUND}")
+        layer = range(layer.stop, n)
+    if len(meet) < len(elements):
+        raise ValueError(refused)
+    return reps, index, least, images
 
 
 # ---------------------------------------------------------------------------

@@ -131,13 +131,33 @@ def _union_find_coset_space(spec, k):
     return PermAction(n_points=len(classes), generators=gens)
 
 
+def _union_find_stabilizers(spec):
+    """Per subgroup K, the images of K's generators on every point of the
+    union, each coset space partitioned by the union-find."""
+    elements = enumerate_group(spec.group_generators, spec.degree)
+    index = {g: i for i, g in enumerate(elements)}
+    spaces = [_union_find_cosets(elements, k_gens) for _, k_gens in spec.subgroups]
+    offsets = [sum(len(classes) for classes, _ in spaces[:k]) for k in range(len(spaces))]
+
+    def image(h):
+        return tuple(offset + membership[index[perm_mul(h, elements[c[0]])]]
+                     for offset, (classes, membership) in zip(offsets, spaces) for c in classes)
+
+    return tuple(tuple(map(image, k_gens)) for _, k_gens in spec.subgroups)
+
+
 def test_coset_partitions_match_the_union_find():
-    specs = random_coset_specs(40, seed=11) + [s3_spec(), LADDER["s7_3subsets"]]
+    # the two seeded batteries on which the walk's point order was first checked
+    specs = (random_coset_specs(40, seed=11) + random_coset_specs(300, seed=13)
+             + random_coset_specs(300, seed=99, max_points=80)
+             + [s3_spec(), LADDER["s7_3subsets"]])
     for spec in specs:
         for k in range(len(spec.subgroups)):
             assert coset_space(spec, k) == _union_find_coset_space(spec, k), spec
-        assert coset_union_action(spec) == disjoint_union(
+        action = coset_union_action(spec)
+        assert action == disjoint_union(
             _union_find_coset_space(spec, k) for k in range(len(spec.subgroups)))
+        assert action.stabilizers == _union_find_stabilizers(spec), spec
     assert coset_union_action(LADDER["s7_3subsets"]).n_points == 35
 
 
