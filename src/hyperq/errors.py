@@ -16,11 +16,11 @@ class MalformedTable(HyperqError):
 
 
 class BoundExceeded(HyperqError):
-    """An exhaustive enumeration was requested past its size gate."""
+    """A site has more objects or compatible atom sets than its bound."""
 
 
 class OrderBoundExceeded(HyperqError):
-    """Group enumeration exceeded the configured order bound."""
+    """A group listing, or a coset input's subgroup or points, passed its order bound."""
 
 
 class NotModular(HyperqError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import HyperqError
 from .quantale import AtomicQuantale
 from .realization import (
     CosetSpec,
@@ -112,7 +113,7 @@ def random_coset_specs(
             gens.append(tuple(p))
         try:
             group = enumerate_group(gens, degree, order_bound=max_order)
-        except Exception:
+        except (HyperqError, ValueError):
             continue
         if len(group) < 2:
             continue
@@ -127,7 +128,7 @@ def random_coset_specs(
         for k in range(len(spec.subgroups)):
             try:
                 act = coset_space(spec, k)
-            except Exception:
+            except (HyperqError, ValueError):
                 ok = False
                 break
             points += act.n_points

@@ -17,7 +17,8 @@ a time, by each generator s in turn and then the last layer's points in
 order.  Both orders are the shortlex order of each coset's least word
 s_1...s_k, first letter most significant, and the walk first reaches a
 coset C by its least first letter s, from s^-1 C.  A coset is named by
-its least element, read down a stabilizer chain of K.  The pair
+its least element, read down a stabilizer chain of K.  Of K's list and
+the points, each at most |G|, neither may pass the order bound.  The pair
 orbits meeting row x0, the least point of a point orbit O, are the
 orbits of the stabilizer G_x0 on the points.  On a coset space G/K the
 least point is the coset K itself, so G_x0 = K and its generators are
@@ -262,19 +263,13 @@ def coset_union_action(spec: CosetSpec) -> PermAction:
 
 
 def _coset_walk(spec: CosetSpec, name: str, k_gens, codec, steps):
-    """The left cosets of K, walked from K by the steps' tables, each
-    named by its least element.  The Schreier elements t_j^-1 s t_i off
-    the walk's tree generate K's meet with G, which must be K.  Returns
+    """The left cosets of K, walked from K by the steps' tables, each named
+    by its least element, G never listed.  The Schreier elements t_j^-1 s t_i
+    off the walk's tree generate K's meet with G, which must be K.  Returns
     each point's representative t_i, the point of each name, the name of
     yK and each step's image of the points."""
     seq, table, compose = codec
-    refused = f"subgroup {name!r} generator outside the group"
-    try:
-        elements = list(_bfs(k_gens, spec.degree, GROUP_ORDER_BOUND, codec))
-    except OrderBoundExceeded:
-        # K too large to list: G is listed to tell which refusal fires first
-        _bfs(spec.group_generators, spec.degree, GROUP_ORDER_BOUND, codec)
-        raise ValueError(refused) from None
+    elements = list(_bfs(k_gens, spec.degree, GROUP_ORDER_BOUND, codec))
     # a chain of K, listed as inverses (the same set): b is the least point a level moves
     chain, level, b = [], elements, 0
     while len(level) > 1:
@@ -307,11 +302,11 @@ def _coset_walk(spec: CosetSpec, name: str, k_gens, codec, steps):
                     meet_steps.append(table(h))
                     _close(meet, meet_steps, compose)
                 image.append(j)
-            if n * len(meet) > GROUP_ORDER_BOUND:   # at most |G|
+            if n > GROUP_ORDER_BOUND:   # at most |G|
                 raise OrderBoundExceeded(f"group order exceeds bound {GROUP_ORDER_BOUND}")
         layer = range(layer.stop, n)
     if len(meet) < len(elements):
-        raise ValueError(refused)
+        raise ValueError(f"subgroup {name!r} generator outside the group")
     return reps, index, least, images
 
 

@@ -647,13 +647,18 @@ def test_coset_input_without_subgroups_exits_two(tmp_path, flags):
     (4, [[1, 2, 3, 0]], [[1, 0, 2, 3]],
      "input error: invalid coset input: subgroup 'k' generator outside the group"),
     # A8, of order 20 160, by (0 1 2) and (1 2 3 4 5 6 7), does not contain
-    # (0 1) either: the order bound fires first
+    # (0 1) either: the walk passes 10 000 points first
     (8, [[1, 2, 0, 3, 4, 5, 6, 7], [0, 2, 3, 4, 5, 6, 7, 1]], [[1, 0, 2, 3, 4, 5, 6, 7]],
      "error: group order exceeds bound 10000"),
-    # S8 as the subgroup of C8: K itself passes the bound, G does not
+    # S8 as the subgroup of C8: listing K passes the bound
     (8, [[1, 2, 3, 4, 5, 6, 7, 0]], [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]],
+     "error: group order exceeds bound 10000"),
+    # the same A8 with K = S3 on {0, 1, 2}: 6 720 points, and K is outside
+    (8, [[1, 2, 0, 3, 4, 5, 6, 7], [0, 2, 3, 4, 5, 6, 7, 1]],
+     [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 0, 3, 4, 5, 6, 7]],
      "input error: invalid coset input: subgroup 'k' generator outside the group"),
-], ids=["order_bound", "outside_generator", "order_bound_before_outside", "outside_past_bound"])
+], ids=["order_bound", "outside_generator", "order_bound_before_outside", "outside_past_bound",
+        "outside_within_bound"])
 def test_coset_group_errors_exit_two(tmp_path, flags, degree, group, subgroup, message):
     path = tmp_path / "coset.json"
     path.write_text(json.dumps({

@@ -8,6 +8,7 @@ at every orbit point on the fixtures small enough to afford it.  Coset
 partitions are held to a union-find over the subgroup generators.
 """
 
+import hashlib
 import subprocess
 import sys
 from collections import Counter
@@ -45,6 +46,7 @@ from hyperq.realization import (
 )
 from numpy_oracles import membership_matrix, pair_orbits, pair_products
 from table_dicts import comp_dict, mu_dict
+from test_coset_walk import johnson
 from test_pair_orbits_oracle import LADDER
 
 
@@ -123,7 +125,7 @@ def _union_find_cosets(elements, k_gens):
 
 
 def _union_find_coset_space(spec, k):
-    elements = enumerate_group(spec.group_generators, spec.degree)
+    elements = enumerate_group(spec.group_generators, spec.degree, order_bound=50_000)
     index = {g: i for i, g in enumerate(elements)}
     classes, membership = _union_find_cosets(elements, spec.subgroups[k][1])
     gens = tuple(tuple(membership[index[perm_mul(s, elements[c[0]])]] for c in classes)
@@ -134,7 +136,7 @@ def _union_find_coset_space(spec, k):
 def _union_find_stabilizers(spec):
     """Per subgroup K, the images of K's generators on every point of the
     union, each coset space partitioned by the union-find."""
-    elements = enumerate_group(spec.group_generators, spec.degree)
+    elements = enumerate_group(spec.group_generators, spec.degree, order_bound=50_000)
     index = {g: i for i, g in enumerate(elements)}
     spaces = [_union_find_cosets(elements, k_gens) for _, k_gens in spec.subgroups]
     offsets = [sum(len(classes) for classes, _ in spaces[:k]) for k in range(len(spaces))]
@@ -147,10 +149,11 @@ def _union_find_stabilizers(spec):
 
 
 def test_coset_partitions_match_the_union_find():
-    # the two seeded batteries on which the walk's point order was first checked
+    # the two seeded batteries on which the walk's point order was first
+    # checked, and S8 (40 320 elements) on its 70 cosets of S4 x S4
     specs = (random_coset_specs(40, seed=11) + random_coset_specs(300, seed=13)
              + random_coset_specs(300, seed=99, max_points=80)
-             + [s3_spec(), LADDER["s7_3subsets"]])
+             + [s3_spec(), LADDER["s7_3subsets"], johnson(8, 4)])
     for spec in specs:
         for k in range(len(spec.subgroups)):
             assert coset_space(spec, k) == _union_find_coset_space(spec, k), spec
@@ -159,6 +162,17 @@ def test_coset_partitions_match_the_union_find():
             _union_find_coset_space(spec, k) for k in range(len(spec.subgroups)))
         assert action.stabilizers == _union_find_stabilizers(spec), spec
     assert coset_union_action(LADDER["s7_3subsets"]).n_points == 35
+
+
+@pytest.mark.parametrize("seed, max_points, digest", [
+    (13, 60, "3b277acc254a3f4bfcfd2bd34b19ac619f5d4ba881b7ffc64e222d8a8100a745"),
+    (99, 80, "cf0caeed1469fb4571300d173f78eccf18b48ccfc7c4bca70a159ef4656877d0"),
+])
+def test_the_seeded_batteries_are_pinned(seed, max_points, digest):
+    # the oracle batteries above; a defect in the coset code that raised
+    # while drawing them would have changed which specs they hold
+    specs = random_coset_specs(300, seed=seed, max_points=max_points)
+    assert hashlib.sha256(repr(specs).encode()).hexdigest() == digest
 
 
 def _padded(spec: CosetSpec, degree: int) -> CosetSpec:
