@@ -30,7 +30,6 @@ from .quantale import (
     bottom,
     check_axioms,
     is_grothendieck,
-    q_le,
     q_mul,
     q_star,
     simple_atoms,
@@ -40,12 +39,12 @@ from .quantale import (
 )
 from .hypergroupoid import (
     Hypergroupoid,
-    MorphismReport,
     check_hg_axioms,
     check_morphism,
     from_quantale,
     is_semisimple,
     is_simple,
+    preserves_star,
     same_structure,
     to_quantale,
 )
@@ -65,7 +64,6 @@ from .realization import (
 from .algebra import (
     KmsReport,
     WeightedHypergroupoid,
-    adjoint_check,
     chi,
     convolve_ext,
     derived_weights,

@@ -394,52 +394,6 @@ def convolve_ext(W: WeightedHypergroupoid, f: dict[int, ExtNat], h: dict[int, Ex
 
 
 # ---------------------------------------------------------------------------
-# the point pairing (realized tables only)
-
-
-def adjoint_check(real) -> Report:
-    """Exact adjointness of the involution in the point pairing.
-
-    For unit-indicator vectors v, v' (value 1 on one point orbit, the
-    pairing of two orbit-constant vectors is the product of their values
-    on a shared orbit, 0 across different orbits) and (v [g])(x) =
-    sum of v(y) over (y, x) in g, the identity
-
-        <v, v' [g]> = chi(g) <v [g*], v'>
-
-    must hold for every arrow.  chi comes from the structure constant
-    table; both pairings are recounted directly from the pair-orbit
-    labels at every point, which also rechecks that v'[g] is constant
-    on the source orbit.  The report holds an "orbit-constant" and an
-    "adjoint" check."""
-    H = real.hypergroupoid
-    n, mem = real.n_points, real.membership
-    left, right = derived_weights(H, real.identity_values)
-    results = []
-    failures_const = []
-    failures_adj = []
-    checked = 0
-    for g in range(H.n_arrows):
-        src_pts = real.unit_points[H.src[g]]
-        tgt_pts = real.unit_points[H.tgt[g]]
-        col_counts = {mem[p::n].count(g) for p in src_pts}
-        row_counts = {mem[q * n:(q + 1) * n].count(g) for q in tgt_pts}
-        if len(col_counts) != 1 or len(row_counts) != 1:
-            failures_const.append((g, tuple(sorted(col_counts)), tuple(sorted(row_counts))))
-            continue
-        lhs = col_counts.pop()   # <v, v'[g]> with v = 1_src, v' = 1_tgt
-        rhs_count = row_counts.pop()   # <v[g*], v'>
-        left_mu, right_mu = left[g], right[g]
-        checked += 1
-        if right_mu == 0 or lhs != Fraction(left_mu, right_mu) * rhs_count:
-            failures_adj.append((g, lhs, left_mu, right_mu, rhs_count))
-    results.append(Check("orbit-constant", not failures_const,
-                         H.n_arrows, tuple(failures_const)))
-    results.append(Check("adjoint", not failures_adj, checked, tuple(failures_adj)))
-    return Report(tuple(results))
-
-
-# ---------------------------------------------------------------------------
 # semi-simple structure
 
 

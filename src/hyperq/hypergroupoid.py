@@ -44,7 +44,7 @@ from functools import partial
 from itertools import compress, islice, repeat
 from operator import attrgetter, gt, lt, or_, sub
 
-from .checks import Report, first_failure
+from .checks import Check, Report, first_failure
 from .errors import MalformedTable, NotModular
 from .quantale import AtomicQuantale, gatherer
 
@@ -689,22 +689,11 @@ def is_semisimple(H: Hypergroupoid) -> tuple[bool, dict[int, tuple[int, int]]]:
 # morphisms
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    typing_ok: bool
-    unit_ok: bool
-    comp_ok: bool
-    star_ok: bool
-    failures: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        # star preservation is a consequence for genuine hypergroupoids;
-        # it is reported but does not decide the verdict
-        return self.typing_ok and self.unit_ok and self.comp_ok
-
-    def __bool__(self) -> bool:
-        return self.ok
+def _arrow_images(H1: Hypergroupoid, H2: Hypergroupoid, arrow_map) -> tuple[int, ...]:
+    amap = tuple(arrow_map[g] for g in range(H1.n_arrows))
+    if any(not 0 <= g < H2.n_arrows for g in amap):
+        raise ValueError("arrow map sends an arrow outside the target")
+    return amap
 
 
 def check_morphism(
@@ -712,39 +701,38 @@ def check_morphism(
     H2: Hypergroupoid,
     unit_map: dict[int, int] | tuple[int, ...],
     arrow_map: dict[int, int] | tuple[int, ...],
-) -> MorphismReport:
-    """Check that the maps send identities to identities and satisfy
-    f(x y) a subset of f(x) f(y) on every composable pair.  Star
-    preservation is checked and reported separately."""
+) -> Report:
+    """Check that the maps keep sources and targets ("typing", failures
+    the arrows g), send identities to identities ("unit", the units e)
+    and satisfy f(x y) a subset of f(x) f(y) on every composable pair
+    ("comp", the pairs (b, a), walked only when the typing holds).  Star
+    preservation, which follows for genuine hypergroupoids, does not
+    decide the verdict: see ``preserves_star``."""
     umap = tuple(unit_map[e] for e in range(H1.n_units))
-    amap = tuple(arrow_map[g] for g in range(H1.n_arrows))
     if any(not 0 <= e < H2.n_units for e in umap):
         raise ValueError("unit map sends a unit outside the target")
-    if any(not 0 <= g < H2.n_arrows for g in amap):
-        raise ValueError("arrow map sends an arrow outside the target")
-
-    failures = []
-    typing_ok = True
-    for g in range(H1.n_arrows):
-        if H2.src[amap[g]] != umap[H1.src[g]] or H2.tgt[amap[g]] != umap[H1.tgt[g]]:
-            typing_ok = False
-            failures.append(("typing", g))
-    unit_ok = True
-    for e in range(H1.n_units):
-        if amap[H1.unit_arrow[e]] != H2.unit_arrow[umap[e]]:
-            unit_ok = False
-            failures.append(("unit", e))
-    comp_ok = True
-    if typing_ok:
-        for b in range(H1.n_arrows):
-            for a in range(H1.n_arrows):
+    amap = _arrow_images(H1, H2, arrow_map)
+    n = H1.n_arrows
+    typing = tuple(g for g in range(n) if H2.src[amap[g]] != umap[H1.src[g]]
+                   or H2.tgt[amap[g]] != umap[H1.tgt[g]])
+    unit = tuple(e for e in range(H1.n_units)
+                 if amap[H1.unit_arrow[e]] != H2.unit_arrow[umap[e]])
+    comp, walked = [], 0
+    if not typing:
+        for b in range(n):
+            for a in range(n):
                 cs = H1.compose(b, a)
-                if cs and not frozenset(amap[c] for c in cs) <= H2.compose(amap[b], amap[a]):
-                    comp_ok = False
-                    failures.append(("comp", b, a))
-    star_ok = all(amap[H1.star[g]] == H2.star[amap[g]] for g in range(H1.n_arrows))
-    if not star_ok:
-        failures.append(("star",))
-    return MorphismReport(
-        typing_ok=typing_ok, unit_ok=unit_ok, comp_ok=comp_ok, star_ok=star_ok,
-        failures=tuple(failures))
+                if cs:
+                    walked += 1
+                    if not frozenset(amap[c] for c in cs) <= H2.compose(amap[b], amap[a]):
+                        comp.append((b, a))
+    return Report((Check("typing", not typing, n, typing),
+                   Check("unit", not unit, H1.n_units, unit),
+                   Check("comp", not comp, walked, tuple(comp))))
+
+
+def preserves_star(H1: Hypergroupoid, H2: Hypergroupoid,
+                   arrow_map: dict[int, int] | tuple[int, ...]) -> bool:
+    """Whether the arrow map sends g* to f(g)* for every arrow g."""
+    amap = _arrow_images(H1, H2, arrow_map)
+    return all(amap[H1.star[g]] == H2.star[amap[g]] for g in range(H1.n_arrows))

@@ -104,10 +104,6 @@ def q_star(Q: AtomicQuantale, a: QElement) -> QElement:
     return frozenset(Q.star[i] for i in a)
 
 
-def q_le(a: QElement, b: QElement) -> bool:
-    return a <= b
-
-
 def gatherer(idx):
     """The function seq -> (seq[i] for i in idx) as a tuple, one C-level
     ``itemgetter`` call.  ``itemgetter`` returns a bare item for a single

@@ -11,6 +11,11 @@ orbits, so a product u v* of simple atoms is the orbit of one pair
 (u(z), v(z)), and the orbit of (x, y) is such a product exactly when
 some point z maps to both x and y by G-maps: when Stab(z) lies in
 Stab(x) and in Stab(y).
+
+``unit_sizes`` reads |X_e|, the size of the point orbit of each unit e,
+off a realization's ``unit_points``: on a realized table the modular
+function is chi(g) = |X_tgt g| / |X_src g|, so these sizes are the
+potential of chi.
 """
 
 
@@ -35,3 +40,8 @@ def factors(stabilizer: list[int], x: int, y: int) -> bool:
     """Whether some point's stabilizer lies in Stab(x) and Stab(y)."""
     both = stabilizer[x] & stabilizer[y]
     return any(s & ~both == 0 for s in stabilizer)
+
+
+def unit_sizes(real) -> dict[int, int]:
+    """{unit e: |X_e|}, the number of points of each unit's orbit."""
+    return {e: len(points) for e, points in enumerate(real.unit_points)}

@@ -14,7 +14,6 @@ import pytest
 
 from hyperq.algebra import (
     WeightedHypergroupoid,
-    adjoint_check,
     chi,
     convolve_ext,
     derived_weights,
@@ -33,13 +32,24 @@ from hyperq.algebra import (
 )
 from hyperq.errors import InfiniteCoefficient, MalformedTable, NotSemisimple, ZeroWeight
 from hyperq.extnat import INF
+from hyperq.fixtures import random_coset_specs
 from hyperq.hypergroupoid import from_comp, from_quantale, to_quantale
 from hyperq.io import load_input
-from hyperq.realization import count_mu, enumerate_group, perm_inv, perm_mul
+from hyperq.realization import (
+    coset_union_action,
+    count_mu,
+    enumerate_group,
+    orbit_atoms,
+    perm_inv,
+    perm_mul,
+    weights,
+)
 
 from conftest import DATA
 from numpy_oracles import decompose_matrix, regular_rep
+from stabilizer_oracles import unit_sizes
 from table_dicts import comp_dict, with_mu
+from test_pair_orbits_oracle import LADDER
 
 
 def _random_elements(W, count, seed, denominators=True):
@@ -463,11 +473,22 @@ def test_decompose_rejects_non_orbit_constant_matrices(real_cosets):
         decompose_matrix(real_cosets, M)
 
 
-def test_adjointness_in_the_point_pairing(all_realized):
-    for real in all_realized.values():
-        report = adjoint_check(real)
-        assert report.ok
-        assert report.result("adjoint").checked == real.n_arrows
+@pytest.mark.parametrize("name", ["fixtures", *sorted(LADDER), "battery_seed_13"])
+def test_chi_is_the_ratio_of_orbit_sizes(name, all_realized):
+    # an arrow g's orbit has |g|_l pairs over each point of X_src g and
+    # |g|_r under each point of X_tgt g, so chi(g) = |X_tgt g| / |X_src g|;
+    # orbit_size is held to the pair-by-pair walk in test_pair_orbits_oracle
+    if name == "fixtures":
+        reals = list(all_realized.values())
+    else:
+        specs = random_coset_specs(300, seed=13) if name == "battery_seed_13" else [LADDER[name]]
+        reals = [orbit_atoms(coset_union_action(spec)) for spec in specs]
+    for real in reals:
+        H, W, size = real.hypergroupoid, weights(real), unit_sizes(real)
+        for g in range(H.n_arrows):
+            src, tgt = size[H.src[g]], size[H.tgt[g]]
+            assert W.left[g] * src == real.orbit_size[g] == W.right[g] * tgt
+            assert chi(W, g) == Fraction(tgt, src)
 
 
 # ---------------------------------------------------------------------------

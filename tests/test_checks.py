@@ -10,10 +10,10 @@ notes state.
 import pytest
 
 from conftest import DATA
-from hyperq.algebra import adjoint_check, validate_weights
+from hyperq.algebra import validate_weights
 from hyperq.checks import Check, Report
 from hyperq.fixtures import delta_quantale, delta_quantale_mutated
-from hyperq.hypergroupoid import check_hg_axioms, from_quantale, to_quantale
+from hyperq.hypergroupoid import check_hg_axioms, check_morphism, from_quantale, to_quantale
 from hyperq.io import load_input
 from hyperq.qsets import (
     check_modular_action,
@@ -42,12 +42,13 @@ def test_report_queries():
 
 def test_every_law_checker_returns_a_report(real_pair):
     Q = delta_quantale()
+    H = real_pair.hypergroupoid
     reports = [
         check_axioms(Q),
         check_hg_axioms(from_quantale(Q)),
         validate_weights(load_input(DATA / "delta_abstract.json")[0].weighted),
         check_qset(Q, ["x"], qmatrix([[{0}]])),
-        adjoint_check(real_pair),
+        check_morphism(H, H, range(H.n_units), range(H.n_arrows)),
     ]
     for report in reports:
         assert type(report) is Report

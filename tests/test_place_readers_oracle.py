@@ -3,7 +3,8 @@
 ``Hypergroupoid.pair`` finds the rows of a pair (b, a) by key, and the
 values sit at the same places.  ``compose``, ``mul`` and
 ``convolve_ext`` read the table through it, ``same_structure`` compares
-row columns and ``check_morphism`` walks the pairs in (b, a) order.
+row columns and ``check_morphism`` walks the pairs in (b, a) order, its
+"comp" check keeping the failing pairs (b, a) in that order.
 Each must give what the same reader gives over the composition and mu
 dicts of ``table_dicts``, entry by entry as these readers once did: on
 the tests/data tables, the ladder and seeded coset tables, with the
@@ -23,7 +24,7 @@ from hyperq.algebra import convolve_ext, mul
 from hyperq.errors import InfiniteCoefficient
 from hyperq.extnat import INF
 from hyperq.fixtures import random_coset_specs
-from hyperq.hypergroupoid import EMPTY, check_morphism, same_structure
+from hyperq.hypergroupoid import EMPTY, check_morphism, preserves_star, same_structure
 from hyperq.io import load_input
 from hyperq.realization import coset_union_action, orbit_atoms, weights
 from table_dicts import comp_dict, mu_dict, with_comp
@@ -59,8 +60,8 @@ def dict_convolve_ext(comp, mu, f, h):
 
 
 def dict_comp_failures(comp1, comp2, amap):
-    """The ("comp", b, a) failures of a morphism, read from the dicts."""
-    return [("comp", b, a) for (b, a), cs in sorted(comp1.items())
+    """The (b, a) failures of a morphism's "comp" check, read from the dicts."""
+    return [(b, a) for (b, a), cs in sorted(comp1.items())
             if not frozenset(amap[c] for c in cs) <= comp2.get((amap[b], amap[a]), EMPTY)]
 
 
@@ -131,16 +132,19 @@ def _assert_agrees(W, rng, products=8):
         for H1, H2 in ((H, mutant), (mutant, H)):
             report = check_morphism(H1, H2, units, arrows)
             expected = dict_comp_failures(comp_dict(H1), comp_dict(H2), arrows)
-            assert (report.comp_ok, report.failures) == (not expected, tuple(expected))
+            assert report.result("typing").passed and report.result("unit").passed
+            assert preserves_star(H1, H2, arrows)
+            check = report.result("comp")
+            assert (check.passed, check.failures) == (not expected, tuple(expected))
     # an arrow map that keeps the typing and the identities: each other
     # arrow to a random arrow with its source and target
     amap = tuple(g if g in H.unit_arrow else rng.choice(
         [d for d in range(n) if (H.src[d], H.tgt[d]) == (H.src[g], H.tgt[g])]) for g in range(n))
     report = check_morphism(H, H, units, amap)
     expected = dict_comp_failures(comp, comp, amap)
-    assert report.typing_ok and report.unit_ok
-    assert (report.comp_ok, [f for f in report.failures if f[0] == "comp"]) == (
-        not expected, expected)
+    assert report.result("typing").passed and report.result("unit").passed
+    check = report.result("comp")
+    assert (check.passed, check.failures) == (not expected, tuple(expected))
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))

@@ -22,7 +22,6 @@ from hyperq.quantale import (
     check_axioms,
     is_grothendieck,
     mask_to_element,
-    q_le,
     q_mul,
     q_star,
     simple_atoms,
@@ -66,12 +65,6 @@ def test_delta_product_table():
     assert top(Q) == frozenset((0, 1))
     assert bottom(Q) == frozenset()
     assert q_mul(Q, bottom(Q), top(Q)) == bottom(Q)
-
-
-def test_le_is_subset():
-    assert q_le(frozenset(), frozenset((1,)))
-    assert q_le(frozenset((1,)), frozenset((0, 1)))
-    assert not q_le(frozenset((0,)), frozenset((1,)))
 
 
 def _bool_compose_oracle(real, a, b):
