@@ -60,45 +60,44 @@ class WeightedHypergroupoid:
 
     - ``values`` (``mu_values`` builds them from a dict
       {(c, b, a): <c | b, a>});
-    - a function ``build`` returning the values, with the
-      ``identity_values`` beside it.  The values are then built on first
-      read, and must take the given values at the identity rows.
+    - a function ``build`` returning the values.  The values are then
+      built on first read, and must take the values ``right`` gives at
+      the identity rows.
 
     ``identity_values`` are the values at ``base.identity_rows``, all
-    that the weights and the KMS check read.  ``mu`` is a read-only dict
-    view in row order, built on first access, which the package itself
-    never reads; callers must not mutate it."""
+    that the weights and the KMS check read; with ``build``, ``right`` at
+    the rows (b, b*, e'), by the right-def law <e'|b, b*> = |b|_r.
+    ``mu`` is a read-only dict view in row order, built on first access,
+    which the package itself never reads; callers must not mutate it."""
 
     base: Hypergroupoid
 
     def _built_values(self) -> Sequence[ExtNat]:
         values = _checked_values(self.base, self._build())
         if gatherer(self.base.identity_index)(values) != self.identity_values:
-            raise MalformedTable("mu values disagree with the identity values counted first")
+            raise MalformedTable("mu values disagree with the right weights at the identity rows")
         return values
+
+    def _right_at_identities(self) -> tuple[ExtNat, ...]:
+        return gatherer(self.base.identity_rows[0])(self.right)
 
     values: Sequence[ExtNat] = field(default=lazy(_built_values), repr=False)
     left: tuple[ExtNat, ...]
     right: tuple[ExtNat, ...]
-    identity_values: tuple[ExtNat, ...] = field(init=False, repr=False)
+    identity_values: tuple[ExtNat, ...] = field(
+        default=lazy(_right_at_identities), init=False, repr=False)
 
     def __init__(self, base: Hypergroupoid, *,
                  left: tuple[ExtNat, ...], right: tuple[ExtNat, ...],
                  values: Sequence[ExtNat] | None = None,
-                 build: Callable[[], Sequence[ExtNat]] | None = None,
-                 identity_values: Sequence[ExtNat] | None = None):
+                 build: Callable[[], Sequence[ExtNat]] | None = None):
         for name, value in (("base", base), ("left", left), ("right", right)):
             object.__setattr__(self, name, value)
         if not len(left) == len(right) == base.n_arrows:
             raise MalformedTable("left and right must have one weight per arrow")
         _check_values(left + right)
         if build is not None:
-            identity_values = tuple(identity_values)
-            if len(identity_values) != len(base.identity_rows[2]):
-                raise MalformedTable("mu must have one value per identity row")
-            _check_values(identity_values)
             object.__setattr__(self, "_build", build)
-            object.__setattr__(self, "identity_values", identity_values)
             return
         object.__setattr__(self, "values", _checked_values(base, values))
         object.__setattr__(self, "identity_values", gatherer(base.identity_index)(values))

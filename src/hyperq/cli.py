@@ -36,8 +36,8 @@ class Context:
     """Loaded input plus the realized structures the commands share.
 
     A realized table is counted whole here, before any output, so that a
-    fault in it exits 2 with nothing written; with ``identity_only`` only
-    its identity rows are, for the commands that read no other row."""
+    fault in it exits 2 with nothing written; with ``identity_only``, for
+    the commands that read only its identity rows, it is not counted."""
 
     def __init__(self, path: str, identity_only: bool = False):
         self.spec, self.digest = load_input(path)
@@ -510,6 +510,9 @@ def main(argv=None) -> int:
         return 2
     except HyperqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -20,11 +20,12 @@ The composition table is kept in one form, arrow-id columns, held as
 composable pair; a dict of composition sets is turned into rows once, by
 ``from_comp``.  A table may be given by a function that builds it: it is
 then built and checked on first read, and until then only its identity
-rows, whose composite is an identity arrow, are held.  The weights and
-the KMS check read no other row.  The law checks and ``to_quantale`` read
-the pair table, one composition set per composable pair in row order,
-indexed by place; every other reader takes the places of one pair's
-rows, found by key, which packs rank(b), a and c into one int.
+rows, whose composite is an identity arrow, are read; the header gives them.
+The weights and the KMS check read no other row.  The law checks and
+``to_quantale`` read the pair table, one composition set per composable
+pair in row order, indexed by place; every other reader takes the
+places of one pair's rows, found by key, which packs rank(b), a and c
+into one int.
 
 Subsets of arrows under pointwise composition form an atomic modular
 quantale; ``to_quantale`` builds its atom table and ``from_quantale``
@@ -122,19 +123,21 @@ class Hypergroupoid:
 
     - ``rows``, checked whole columns at a time (``from_comp`` builds
       them from a dict {(b, a): composition set});
-    - a function ``build`` returning the rows, with the ``identity_rows``
-      beside it.  The rows are then built on first read and checked
-      there as given rows are, and their identity rows must be the
-      given ones.
+    - a function ``build`` returning the rows.  The rows are then built
+      on first read and checked there as given rows are, and their
+      identity rows must be the ones the header gives.
 
     ``identity_rows`` are the columns (b, a, e) of the rows whose
     composite e is an identity arrow, in row order, and
-    ``identity_index`` their places in ``rows``.  The weights and the
-    KMS check read only these, so a table given by ``build`` that is
-    read no further is never built.  ``pair_table`` holds the composition
-    set of each composable pair in row order, equal sets one frozenset,
-    built on first access, and callers must not mutate it; ``pair``
-    finds the places of one pair's rows by key."""
+    ``identity_index`` their places in ``rows``.  Under HG1 and HG3 they
+    are one row (b, b*, e) per arrow b, e the identity of tgt(b): if e is
+    in comp(b, a), then a is in b* e = {b*}, and b in e b gives e in
+    b b*.  So a table given by ``build`` reads them off its header.  The
+    weights and the KMS check read only these, so a table given by
+    ``build`` that is read no further is never built.  ``pair_table``
+    holds the composition set of each composable pair in row order, equal
+    sets one frozenset, built on first access, and callers must not
+    mutate it; ``pair`` finds the places of one pair's rows by key."""
 
     unit_names: tuple[str, ...]
     arrow_names: tuple[str, ...]
@@ -148,18 +151,24 @@ class Hypergroupoid:
         rows, keys = self._checked(self._build())
         index, identity_rows = self._identities(rows)
         if identity_rows != self.identity_rows:
-            raise MalformedTable("composition rows disagree with the identity rows counted first")
+            raise MalformedTable(
+                "composition rows must have one identity row (b, b*, e) per arrow b")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "identity_index", index)
         return rows
 
+    def _header_identity_rows(self) -> Rows:
+        """The rows (b, b*, e), e the identity of tgt(b), in ``by_source`` order."""
+        column, unit_arrow, tgt = self.codec.column, self.unit_arrow, self.tgt
+        b_ = column(self.by_source[0])
+        return b_, column(self.through("star", b_)), column([unit_arrow[tgt[b]] for b in b_])
+
     rows: Rows = field(default=lazy(_built_rows), repr=False)
-    identity_rows: Rows = field(init=False, repr=False)
+    identity_rows: Rows = field(default=lazy(_header_identity_rows), init=False, repr=False)
 
     def __init__(self, unit_names, arrow_names, src, tgt, star, unit_arrow,
                  rows: Rows | None = None, *,
-                 build: Callable[[], Rows] | None = None,
-                 identity_rows: Rows | None = None):
+                 build: Callable[[], Rows] | None = None):
         # explicit raises, not asserts: check_hg_axioms indexes the pair
         # table and aligns rows on composite typing, so it relies on these
         # under -O.
@@ -188,10 +197,7 @@ class Hypergroupoid:
                 raise MalformedTable(
                     f"identity arrow {i} of unit {e} must be a self-adjoint loop at {e}")
         if build is not None:
-            if (identity_rows := self._held(identity_rows)) is None:
-                raise MalformedTable("identity rows must hold arrow ids")
             object.__setattr__(self, "_build", build)
-            object.__setattr__(self, "identity_rows", identity_rows)
             return
         rows, keys = self._checked(rows)
         object.__setattr__(self, "keys", keys)

@@ -51,14 +51,13 @@ right weights of an arrow are its column and row counts:
     |g|_l = <e | g*, g>   (e = source identity),
     |g|_r = <e'| g, g*>   (e' = target identity).
 
-They, chi, sigma_t and the KMS check read only the rows whose composite
-is an identity arrow.  So ``orbit_atoms`` counts those rows alone, at
-the representatives (x0, x0) of the identity arrows: n middle points per
-unit rather than per arrow.  The whole table is counted when its rows or
-values are first read, and checked there; its identity rows and values
-must be the ones counted first.  ``weights`` returns the left/right
-vectors as a weighted hypergroupoid ready for the convolution algebra,
-the one holder of the value column, which it counts only when read.
+They are fibre sizes, |orbit g| / |X_src g| and |orbit g| / |X_tgt g|,
+which ``weights`` reads off the orbit sizes, and the identity rows need
+no count either (``Hypergroupoid``).  The whole table is counted once, when
+its rows or values are first read, and checked there against both.
+``weights`` returns the left/right vectors as a weighted hypergroupoid
+ready for the convolution algebra, the one holder of the value column,
+which it counts only when read.
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ from functools import cache
 from itertools import accumulate
 from operator import add
 
-from .algebra import WeightedHypergroupoid, derived_weights
+from .algebra import WeightedHypergroupoid
 from .errors import HyperqError, OrderBoundExceeded
-from .hypergroupoid import Hypergroupoid, Rows, column_codec, gatherer, source_order, unpack
+from .hypergroupoid import Hypergroupoid, Rows, column_codec, gatherer, unpack
 
 Perm = tuple[int, ...]
 
@@ -320,10 +319,10 @@ class ConcreteRealization:
 
     membership[x * n_points + y] is the arrow id of the orbit through
     (x, y); representative[g] is the least pair of orbit g in
-    lexicographic order; identity_values[i] is <e | b, a> for row
-    i = (b, a, e) of the hypergroupoid's identity rows.  ``table``
-    counts the whole table once: the hypergroupoid's rows (b, a, c) and
-    the values <c | b, a> beside them, which ``weights`` holds."""
+    lexicographic order and orbit_size[g] its number of pairs.
+    ``table`` counts the whole table once: the hypergroupoid's rows
+    (b, a, c) and the values <c | b, a> beside them, which ``weights``
+    holds."""
 
     action: PermAction
     hypergroupoid: Hypergroupoid
@@ -332,7 +331,6 @@ class ConcreteRealization:
     membership: list[int] = field(repr=False)
     representative: tuple[tuple[int, int], ...]
     orbit_size: tuple[int, ...]
-    identity_values: tuple[int, ...] = field(repr=False)
     table: Callable[[], tuple[Rows, tuple[int, ...]]] = field(repr=False)
 
     @property
@@ -428,8 +426,8 @@ def _pair_orbits(action: PermAction, unit_points):
 def orbit_atoms(action: PermAction) -> ConcreteRealization:
     """Enumerate point and pair orbits and assemble the hypergroupoid.
 
-    Only the identity rows are counted here; the whole table is counted
-    when the rows or values are first read."""
+    Nothing is counted here: the whole table is counted when the rows or
+    values are first read."""
     n = action.n_points
     point_orbit, unit_points = _point_orbits(n, action.generators)
     membership, reps, sizes = _pair_orbits(action, unit_points)
@@ -437,13 +435,6 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
     tgt = tuple(point_orbit[x] for (x, _) in reps)
     star = tuple(membership[y * n + x] for (x, y) in reps)
     unit_arrow = tuple(membership[pts[0] * (n + 1)] for pts in unit_points)
-    # both counts rank the arrows by source alike
-    by_source = source_order(src)
-    identity_rows, identity_values = _pair_rows(
-        membership, n, reps, by_source, sorted(unit_arrow))
-    # the whole table, rows and values, counted on the first call
-    table = cache(lambda: _pair_rows(membership, n, reps, by_source))
-
     H = Hypergroupoid(
         unit_names=tuple(f"u{k}" for k in range(len(unit_points))),
         arrow_names=tuple(f"a{g}" for g in range(len(reps))),
@@ -452,8 +443,10 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
         star=star,
         unit_arrow=unit_arrow,
         build=lambda: table()[0],
-        identity_rows=identity_rows,
     )
+    # the whole table, counted on the first call; holding H would make a cycle
+    by_source = H.by_source
+    table = cache(lambda: _pair_rows(membership, n, reps, by_source))
     return ConcreteRealization(
         action=action,
         hypergroupoid=H,
@@ -462,15 +455,12 @@ def orbit_atoms(action: PermAction) -> ConcreteRealization:
         membership=membership,
         representative=tuple(reps),
         orbit_size=tuple(sizes),
-        identity_values=identity_values,
         table=table,
     )
 
 
-def _pair_rows(membership, n, reps, by_source, arrows=None):
-    """Intersection numbers of the pair orbits, as the composition rows
-    whose composite is among ``arrows``, given in increasing order, or
-    all of them.
+def _pair_rows(membership, n, reps, by_source):
+    """Intersection numbers of the pair orbits, as the composition rows.
 
     For an arrow c with representative (x, y), the middle points t give
     the pairs (membership[x*n + t], membership[t*n + y]) = (b, a), and
@@ -478,9 +468,9 @@ def _pair_rows(membership, n, reps, by_source, arrows=None):
     p_{ba}^c of the coherent configuration (D. G. Higman, *Coherent
     configurations*, 1975).  Each arrow's pairs are counted by one
     ``Counter`` over rank(b) << s | a, s the bits of an id, where b is
-    ranked by (src[b], b), as ``by_source`` = ``source_order(src)`` ranks
-    it.  Shifted once more and ORed with c, each counted pair is the row
-    key that ``Hypergroupoid.pack`` gives (b, a, c).  One sort of the keys
+    ranked by (src[b], b), as ``Hypergroupoid.by_source`` ranks it.
+    Shifted once more and ORed with c, each counted pair is the row key
+    that ``Hypergroupoid.pack`` gives (b, a, c).  One sort of the keys
     orders the rows by src[b], b, a and c, and ``unpack`` reads rank(b),
     a and c back off them.  Returns the rows (b, a, c), id columns held
     as ``column_codec(k)`` holds them, and the value column <c | b, a>."""
@@ -490,8 +480,7 @@ def _pair_rows(membership, n, reps, by_source, arrows=None):
     rows: dict[int, list[int]] = {}
     keys: list[int] = []
     values: list[int] = []
-    for c in range(len(reps)) if arrows is None else arrows:
-        x, y = reps[c]
+    for c, (x, y) in enumerate(reps):
         row = rows.get(x)
         if row is None:
             row = rows[x] = [rank[b] << shift for b in membership[x * n:(x + 1) * n]]
@@ -529,10 +518,11 @@ def count_mu(real: ConcreteRealization, a: int, g: int, gp: int, verify: bool = 
 
 
 def weights(real: ConcreteRealization) -> WeightedHypergroupoid:
-    """The realized table with the weights read off its identity rows.
-    Its values are the value column that ``real.table`` counts, not a
-    copy, and are counted and checked only when read."""
-    left, right = derived_weights(real.hypergroupoid, real.identity_values)
-    return WeightedHypergroupoid(
-        base=real.hypergroupoid, left=left, right=right,
-        build=lambda: real.table()[1], identity_values=real.identity_values)
+    """The realized table with the weights read off its orbit sizes,
+    |g|_l = |orbit g| / |X_src g| and |g|_r = |orbit g| / |X_tgt g|.  Its
+    values are the value column that ``real.table`` counts, not a copy,
+    and are counted, and checked against these weights, only when read."""
+    H, size = real.hypergroupoid, [len(points) for points in real.unit_points]
+    left = tuple(s // size[u] for s, u in zip(real.orbit_size, H.src))
+    right = tuple(s // size[u] for s, u in zip(real.orbit_size, H.tgt))
+    return WeightedHypergroupoid(base=H, left=left, right=right, build=lambda: real.table()[1])

@@ -477,7 +477,9 @@ def test_decompose_rejects_non_orbit_constant_matrices(real_cosets):
 def test_chi_is_the_ratio_of_orbit_sizes(name, all_realized):
     # an arrow g's orbit has |g|_l pairs over each point of X_src g and
     # |g|_r under each point of X_tgt g, so chi(g) = |X_tgt g| / |X_src g|;
-    # orbit_size is held to the pair-by-pair walk in test_pair_orbits_oracle
+    # orbit_size is held to the pair-by-pair walk in test_pair_orbits_oracle.
+    # weights reads them off the orbit sizes, so the counted table is the
+    # oracle: its identity rows (g, g*, e) hold <e | g, g*> = |g|_r
     if name == "fixtures":
         reals = list(all_realized.values())
     else:
@@ -485,9 +487,15 @@ def test_chi_is_the_ratio_of_orbit_sizes(name, all_realized):
         reals = [orbit_atoms(coset_union_action(spec)) for spec in specs]
     for real in reals:
         H, W, size = real.hypergroupoid, weights(real), unit_sizes(real)
+        (b_, a_, _), values = real.table()
+        at = H.identity_index   # builds and checks the whole table
+        assert [a_[i] for i in at] == [H.star[b_[i]] for i in at]
+        counted = {b_[i]: values[i] for i in at}
+        assert sorted(counted) == list(range(H.n_arrows))
         for g in range(H.n_arrows):
             src, tgt = size[H.src[g]], size[H.tgt[g]]
-            assert W.left[g] * src == real.orbit_size[g] == W.right[g] * tgt
+            assert counted[H.star[g]] * src == real.orbit_size[g] == counted[g] * tgt
+            assert (W.left[g], W.right[g]) == (counted[H.star[g]], counted[g])
             assert chi(W, g) == Fraction(tgt, src)
 
 

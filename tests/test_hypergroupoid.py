@@ -8,12 +8,13 @@ it pins down the checker's counterexample reporting.
 
 import dataclasses
 import gc
+import json
 import random
 import weakref
 
 import pytest
 
-from hyperq.algebra import mu_semisimple
+from hyperq.algebra import WeightedHypergroupoid, mu_semisimple
 from hyperq.errors import MalformedTable, NotModular
 from hyperq.fixtures import (
     delta_quantale,
@@ -69,6 +70,34 @@ def test_left_projection_table_fails_exchange_law():
     assert not hg3.passed
     # s in 1*s holds but 1 in s comp(s*) = {s} fails
     assert hg3.counterexample == (1, 0, 1)
+
+
+ABSTRACT = [path for path in sorted(DATA.glob("*.json"))
+            if json.loads(path.read_text())["kind"] == "abstract"]
+
+
+@pytest.mark.parametrize("path", ABSTRACT, ids=lambda p: p.stem)
+def test_hg1_and_hg3_force_the_identity_rows(path):
+    # why a table given by build may read its identity rows off the
+    # header: under HG1 and HG3 they are the rows (b, b*, e), e the
+    # identity of tgt(b), with value |b|_r.  A table failing HG3 need not
+    # have them, and built, it is refused
+    W = load_input(path)[0].weighted
+    H = W.base
+    header = Hypergroupoid(H.unit_names, H.arrow_names, H.src, H.tgt, H.star, H.unit_arrow,
+                           build=lambda: H.rows)
+    forced = WeightedHypergroupoid(header, left=W.left, right=W.right, build=lambda: W.values)
+    report = check_hg_axioms(H)
+    holds = report.result("HG3").passed
+    assert report.result("HG1").passed
+    assert holds is (path.stem != "hg3_mutated")
+    assert (header.identity_rows == H.identity_rows) is holds
+    if holds:
+        assert forced.identity_values == W.identity_values
+        assert header.rows == H.rows and forced.values == W.values
+    else:
+        with pytest.raises(MalformedTable, match=r"one identity row \(b, b\*, e\) per arrow b"):
+            header.rows
 
 
 def test_mutated_delta_fails_exchange_law():

@@ -11,22 +11,26 @@ the weighted table's ``mu`` view, must equal its dicts in insertion
 order, the pair table's equal composition sets must be one object, and
 the weighted table and its weights must agree with them.
 
-``orbit_atoms`` counts only the identity rows, whose composite is an
-identity arrow, and builds the whole table when it is first read.  The
-identity rows must be the oracle's entries at identity arrows, in order,
-and the identity subsequence of the whole table.  ``atoms``, ``kms`` and
-``evolve`` read no other row and must leave the whole table unbuilt,
-S6 regular included; ``algebra``, ``check``, ``site`` and ``convolve``
-build it before any output, so a fault put into it must make them exit
-2 with nothing on stdout, under ``python -O`` too.
+``orbit_atoms`` counts nothing, and builds the whole table when it is
+first read.  The identity rows, whose composite is an identity arrow,
+are read off the header and their values off the right weights; they
+must be the oracle's entries at identity arrows, in order, and the
+identity subsequence of the whole table.  ``atoms``, ``kms`` and
+``evolve`` read no other row and must leave the whole table unbuilt and
+``_pair_rows`` uncalled, S6 regular included; ``algebra``, ``check``,
+``site`` and ``convolve`` call it once and build the table before any
+output, so a fault put into it must make them exit 2 with nothing on
+stdout, under ``python -O`` too.
 """
 
+import gc
 import json
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from itertools import compress
 from operator import add
@@ -147,10 +151,10 @@ def test_views_equal_the_dict_builder(name):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_identity_rows_are_counted_apart_in_table_order(name):
-    # the identity rows and values counted with the realization are the
-    # oracle's mu entries at identity arrows, in its order, and the
-    # identity subsequence of the whole table once that is built
+def test_identity_rows_read_off_the_header_are_the_counted_ones(name):
+    # the identity rows read off the header and their values read off the
+    # right weights are the oracle's mu entries at identity arrows, in its
+    # order, and the identity subsequence of the whole table once built
     real = orbit_atoms(CORPUS[name])
     H, W = real.hypergroupoid, weights(real)
     assert not {"rows", "keys"} & vars(H).keys()
@@ -158,14 +162,30 @@ def test_identity_rows_are_counted_apart_in_table_order(name):
     src = tuple(real.point_orbit[y] for _, y in real.representative)
     mu, _ = dict_pair_products(real.membership, real.n_points, real.representative, src)
     units = set(H.unit_arrow)
-    assert list(zip(*H.identity_rows, real.identity_values)) == [
+    assert list(zip(*H.identity_rows, W.identity_values)) == [
         (b, a, c, v) for (c, b, a), v in mu.items() if c in units]
-    assert W.identity_values == real.identity_values
+    assert real.table.cache_info().currsize == 0
     at = [i for i, c in enumerate(H.rows[2]) if c in units]
     assert H.identity_index == at
     assert tuple(map(tuple, H.identity_rows)) == tuple(tuple(col[i] for i in at) for col in H.rows)
-    assert real.identity_values == tuple(W.values[i] for i in at)
+    assert W.identity_values == tuple(W.values[i] for i in at)
     assert W.values is real.table()[1]
+
+
+@pytest.mark.parametrize("path", ACTIONS, ids=lambda p: p.stem)
+def test_a_built_table_is_freed_without_the_cycle_collector(path):
+    # the whole table is the largest thing a command holds: no reference
+    # cycle may keep it, and the realization with it, past its last use
+    gc.disable()
+    try:
+        real = orbit_atoms(load_input(str(path))[0].action)
+        W = weights(real)
+        assert W.identity_values and W.values
+        refs = [weakref.ref(obj) for obj in (real.hypergroupoid, W, real.table)]
+        del real, W
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def _built(monkeypatch, argv):
@@ -233,6 +253,27 @@ def test_algebra_check_site_and_convolve_build_the_table(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["s3_cosets", "s3_mixed"])
+def test_each_command_counts_the_table_at_most_once(name, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pair_rows(*args)
+
+    monkeypatch.setattr(realization, "_pair_rows", counted)
+    path = str(DATA / f"{name}.json")
+    whole = (["algebra", path], ["check", path], ["site", path],
+             ["convolve", path, "--f", "[a1]", "--g", "[a1]"])
+    for fmt in ("table", "json"):
+        for argv, count in [*((argv, 0) for argv in _identity_only_calls(path, (fmt,))),
+                            *(([*argv, "--format", fmt], 1) for argv in whole)]:
+            calls.clear()
+            assert cli.main(argv) == 0, argv
+            assert len(calls) == count, argv
+    capsys.readouterr()
+
+
 # faults in the whole table, which only the commands that build it meet:
 # (edit of its rows and values as lists, the error line it gives)
 def _swap_first_rows(rows, values):
@@ -245,24 +286,36 @@ def _raise_first_identity_value(rows, values):
     values[rows[2].index(0)] += 1
 
 
+def _drop_an_identity_row(rows, values):
+    # the first row (b, a, 0) whose pair has another composite: the table
+    # stays well formed, with one identity row too few
+    b_, a_, c_ = rows
+    i = next(i for i in range(len(c_) - 1)
+             if c_[i] == 0 and (b_[i], a_[i]) == (b_[i + 1], a_[i + 1]))
+    for col in (*rows, values):
+        del col[i]
+
+
 TABLE_FAULTS = {
     "out-of-order": (_swap_first_rows,
                      "error: composition rows must strictly increase by src(b), b, a, c\n"),
     "identity-value": (_raise_first_identity_value,
-                       "error: mu values disagree with the identity values counted first\n"),
+                       "error: mu values disagree with the right weights at the identity rows\n"),
+    "identity-row": (_drop_an_identity_row,
+                     "error: composition rows must have one identity row (b, b*, e) "
+                     "per arrow b\n"),
 }
 
 
 def edited_pair_rows(fault):
-    """``_pair_rows`` with the whole table, not the identity rows, edited
-    by the named fault of ``TABLE_FAULTS``."""
+    """``_pair_rows`` with the table it counts edited by the named fault
+    of ``TABLE_FAULTS``."""
     edit = TABLE_FAULTS[fault][0]
 
-    def pair_rows(membership, n, reps, by_source, arrows=None):
-        rows, values = _pair_rows(membership, n, reps, by_source, arrows)
-        if arrows is None:
-            rows, values = [list(col) for col in rows], list(values)
-            edit(rows, values)
+    def pair_rows(membership, n, reps, by_source):
+        rows, values = _pair_rows(membership, n, reps, by_source)
+        rows, values = [list(col) for col in rows], list(values)
+        edit(rows, values)
         return rows, values
     return pair_rows
 

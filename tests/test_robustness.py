@@ -16,7 +16,9 @@ one-line error, and never raises.
 A new point count is a small one or one whose square exceeds
 ``sys.maxsize``, which is refused.  A count in between is accepted and
 allocates a label per ordered pair of points before anything else is
-checked, which no test can afford at the sizes a strategy draws.
+checked, which no test can afford at the sizes a strategy draws.  When
+the machine cannot hold them, the command exits 2 with one error line;
+that is tested with the ``MemoryError`` raised in place of the count.
 """
 
 import contextlib
@@ -174,3 +176,16 @@ def test_other_commands_survive_one_field_mutations(case, tmp_path_factory):
         else:
             assert code == 2, label
             _assert_refused(label, out, message)
+
+
+def test_running_out_of_memory_is_a_one_line_refusal(monkeypatch):
+    def exhausted(action):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "orbit_atoms", exhausted)
+    for argv in (["kms", str(DATA / "trivial2.json")],
+                 ["check", str(DATA / "s3_cosets.json"), "--format", "json"]):
+        code, out, message = _run(argv)
+        assert code == 2, argv
+        _assert_refused(argv, out, message)
+        assert message == "error: out of memory\n", argv
